@@ -1,8 +1,9 @@
 """Command-line front end: evaluate, solve, verify, and emit CSV tables.
 
-Exit codes: 0 success, 1 verification failure, 2 validation error,
-3 non-convergence, 4 I/O error.  Output files are written to a temporary
-sibling and renamed into place, so a failing run never leaves a partial file.
+Exit codes: 0 success, 1 verification failure, 2 validation error
+(including an L1 step whose leading coefficient vanishes), 3 non-convergence,
+4 I/O error.  Output files are written to a temporary sibling and renamed
+into place, so a failing run never leaves a partial file.
 All numbers are printed with 17 significant digits (round-trip exact for
 IEEE doubles), '.' decimal point, '\\n' newlines.
 """
@@ -17,7 +18,7 @@ import tempfile
 
 import numpy as np
 
-from .errors import DomainError, SeriesNotConvergedError, SeriesOverflowError
+from .errors import DomainError, SeriesNotConvergedError, SeriesOverflowError, SingularStepError
 from .series import LambdaTriple, MLParams, SeriesControl, eval_prabhakar, eval_trivariate, eval_univariate
 from .solver import Forcing, IVPSpec, numeric_oracle_solve, solve
 from .verify import run_checks
@@ -61,12 +62,13 @@ def _emit(path: str | None, lines: list[str]) -> None:
 
 
 def _ctrl(opts: dict) -> SeriesControl:
-    tol = opts.get("tol")
-    max_shell = opts.get("max_shell")
-    return SeriesControl(
-        rel_tol=1e-12 if tol is None else tol,
-        max_shell=400 if max_shell is None else int(max_shell),
-    )
+    """Series control from --tol and --max-shell; unset options keep the library defaults."""
+    given = {}
+    if opts.get("tol") is not None:
+        given["rel_tol"] = opts["tol"]
+    if opts.get("max_shell") is not None:
+        given["max_shell"] = int(opts["max_shell"])
+    return SeriesControl(**given)
 
 
 def _require(opts: dict, names: list[str]) -> None:
@@ -161,7 +163,8 @@ def cmd_solve(opts: dict) -> int:
         all_ok = bool(np.all(np.isfinite(values)))
     else:
         nodes = opts.get("quad_nodes")
-        trace = solve(spec, g, grid, _ctrl(opts), quad_nodes=64 if nodes is None else int(nodes))
+        kw = {} if nodes is None else {"quad_nodes": int(nodes)}
+        trace = solve(spec, g, grid, _ctrl(opts), **kw)
         values, errs = trace.values, trace.abs_err
         backend = "series"
         all_ok = bool(trace.converged.all())
@@ -326,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _merge_config(args)
         return _COMMANDS[args.command](opts)
-    except (DomainError, ValueError, KeyError) as exc:
+    except (DomainError, ValueError, KeyError, SingularStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SeriesNotConvergedError, SeriesOverflowError) as exc:

@@ -10,6 +10,11 @@ natural truncation unit because the rising-factorial numerator grows with the
 total degree.  Term magnitudes are assembled in log space and exponentiated
 once per term; signs (and phases, for complex arguments) ride separately.
 
+The Prabhakar and one-over-one Wright series keep their own term formulas, so
+the engines cross-check each other, but all three share one stopping rule
+(:func:`_sum_until_quiet`): a budget hit returns ``converged=False``, and a
+shell or partial sum outside the double range raises SeriesOverflowError.
+
 Parameters are restricted to real values; only the series arguments u, v, w
 may be complex.  Negative ``eta`` is allowed (the series terminates when eta
 is a non-positive integer) and so is ``delta <= 0`` (gamma poles contribute
@@ -156,102 +161,81 @@ def _arg_parts(z):
     return False, math.log(abs(x)), 0.0, (1.0 if x > 0.0 else -1.0)
 
 
-def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None) -> EvalResult:
-    """Evaluate the triple series at complex arguments (u, v, w).
+def _shells(params: MLParams, slots, qmax: int):
+    """Indices, gamma arguments, log|coefficient| and signs of shells q = 0..qmax.
 
-    Summation proceeds over simplex shells q = l+p+k.  Convergence is declared
-    once ``consecutive_quiet_shells`` successive shell sums each have magnitude
-    at most ``rel_tol * max(|partial|, 1)``.  The returned absolute error
-    estimate is geometric: |last shell| / (1 - ratio of the last two nonzero
-    shell magnitudes) when that ratio is below one, else |last shell|.
-
-    Raises :class:`SeriesOverflowError` when a shell magnitude leaves the
-    double range.  A hit of ``max_shell`` returns ``converged=False``.
+    ``slots`` holds one :func:`_arg_parts` tuple per index direction (l, p, k);
+    a zero slot prunes every index that would raise it to a positive power, and
+    a shell that pruning empties comes out as None.  Stops early once (eta)_q
+    vanishes, since every later shell is then identically zero.
     """
-    ctrl = ctrl or SeriesControl()
-    complex_in = any(isinstance(z, complex) and z.imag != 0.0 for z in (u, v, w))
-
-    zu, log_u, ph_u, sg_u = _arg_parts(u)
-    zv, log_v, ph_v, sg_v = _arg_parts(v)
-    zw, log_w, ph_w, sg_w = _arg_parts(w)
-
-    poch_signs, poch_logs = log_pochhammer_table(params.eta, ctrl.max_shell + 1)
-    logfact = _logfact(ctrl.max_shell + 1)
-
-    partial = 0.0 + 0.0j if complex_in else 0.0
-    quiet = 0
-    shells_used = 0
-    last_mag = 0.0  # magnitude of the most recent shell, zero or not
-    last_mags: list[float] = []  # magnitudes of the last two nonzero shells
-
-    for q in range(ctrl.max_shell + 1):
-        shells_used = q + 1
+    poch_signs, poch_logs = log_pochhammer_table(params.eta, qmax + 1)
+    logfact = _logfact(qmax + 1)
+    for q in range(qmax + 1):
         if poch_signs[q] == 0.0:
-            # terminating series: every later shell vanishes identically
-            return EvalResult(partial, 0.0, shells_used, True)
-
+            return
         l, p = _shell_lp(q)
         k = q - l - p
         keep = np.ones(l.size, dtype=bool)
-        if zu:
-            keep &= l == 0
-        if zv:
-            keep &= p == 0
-        if zw:
-            keep &= k == 0
+        for n, slot in zip((l, p, k), slots):
+            if slot[0]:
+                keep &= n == 0
         if not keep.all():
             l, p, k = l[keep], p[keep], k[keep]
         if l.size == 0:
-            shell = 0.0
-        else:
-            garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
-            rg_sign, rg_log = signed_log_rgamma(garg)
-            logmag = poch_logs[q] + rg_log - logfact[l] - logfact[p] - logfact[k]
-            if not zu:
-                logmag = logmag + l * log_u
-            if not zv:
-                logmag = logmag + p * log_v
-            if not zw:
-                logmag = logmag + k * log_w
-            sign = poch_signs[q] * rg_sign
-            if sg_u < 0.0:
-                sign = sign * np.where(l % 2 == 1, -1.0, 1.0)
-            if sg_v < 0.0:
-                sign = sign * np.where(p % 2 == 1, -1.0, 1.0)
-            if sg_w < 0.0:
-                sign = sign * np.where(k % 2 == 1, -1.0, 1.0)
-            with np.errstate(over="ignore", invalid="ignore"):
-                if complex_in:
-                    phase = l * ph_u + p * ph_v + k * ph_w
-                    terms = sign * np.exp(logmag + 1j * phase)
-                else:
-                    terms = sign * np.exp(logmag)
-                shell = terms.sum()
+            yield None
+            continue
+        garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
+        rg_sign, rg_log = signed_log_rgamma(garg)
+        logmag = poch_logs[q] + rg_log - logfact[l] - logfact[p] - logfact[k]
+        sign = poch_signs[q] * rg_sign
+        for n, (is_zero, log_z, _, sg) in zip((l, p, k), slots):
+            if not is_zero:
+                logmag = logmag + n * log_z
+            if sg < 0.0:
+                sign = sign * np.where(n % 2 == 1, -1.0, 1.0)
+        yield l, p, k, garg, logmag, sign
 
-        with np.errstate(over="ignore"):
+
+def _sum_until_quiet(shells, ctrl: SeriesControl, zero) -> EvalResult:
+    """Sum the shells of a series under the shared stopping rule.
+
+    ``shells`` yields shell sums and ends early only for a terminating series.
+    Convergence needs ``consecutive_quiet_shells`` successive shells of
+    magnitude at most ``rel_tol * max(|partial|, 1)`` and a geometric tail
+    estimate under the same bound.  A shell or partial sum outside the double
+    range raises :class:`SeriesOverflowError`; the budget ``max_shell``
+    returns ``converged=False``.
+    """
+    partial = zero
+    quiet = 0
+    last_mag = 0.0  # magnitude of the most recent shell, zero or not
+    last_mags: list[float] = []  # magnitudes of the last two nonzero shells
+    # numpy shells turn an overflowing partial sum into inf, checked below
+    with np.errstate(over="ignore"):
+        for q in range(ctrl.max_shell + 1):
+            shell = next(shells, None)
+            if shell is None:
+                return EvalResult(partial, 0.0, q + 1, True)
             partial = partial + shell
-        if not np.all(np.isfinite([abs(shell), abs(partial)])):
-            raise SeriesOverflowError(
-                f"shell {q} magnitude exceeds the double range "
-                f"(params={params}, |u|,|v|,|w|={abs(u):.3g},{abs(v):.3g},{abs(w):.3g})"
-            )
-        mag = last_mag = abs(shell)
-        if mag > 0.0:
-            last_mags = (last_mags + [mag])[-2:]
+            if not (math.isfinite(abs(shell)) and math.isfinite(abs(partial))):
+                raise SeriesOverflowError(f"shell {q} magnitude exceeds the double range")
+            mag = last_mag = abs(shell)
+            if mag > 0.0:
+                last_mags = (last_mags + [mag])[-2:]
 
-        if mag <= ctrl.rel_tol * max(abs(partial), 1.0):
-            quiet += 1
-            if quiet >= ctrl.consecutive_quiet_shells:
-                est = _tail_estimate(last_mag, last_mags)
-                if est <= ctrl.rel_tol * max(abs(partial), 1.0):
-                    return EvalResult(partial, est, shells_used, True)
-                # shells are quiet but their decay ratio is still near one;
-                # keep summing until the geometric estimate also clears
-                quiet -= 1
-        else:
-            quiet = 0
-
-    return EvalResult(partial, _tail_estimate(last_mag, last_mags), shells_used, False)
+            if mag <= ctrl.rel_tol * max(abs(partial), 1.0):
+                quiet += 1
+                if quiet >= ctrl.consecutive_quiet_shells:
+                    est = _tail_estimate(last_mag, last_mags)
+                    if est <= ctrl.rel_tol * max(abs(partial), 1.0):
+                        return EvalResult(partial, est, q + 1, True)
+                    # shells are quiet but their decay ratio is still near one;
+                    # keep summing until the geometric estimate also clears
+                    quiet -= 1
+            else:
+                quiet = 0
+    return EvalResult(partial, _tail_estimate(last_mag, last_mags), ctrl.max_shell + 1, False)
 
 
 def _tail_estimate(last_mag: float, last_mags: list[float]) -> float:
@@ -261,6 +245,51 @@ def _tail_estimate(last_mag: float, last_mags: list[float]) -> float:
         if ratio < 1.0:
             return last_mag / (1.0 - ratio)
     return last_mag
+
+
+def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None) -> EvalResult:
+    """Evaluate the triple series at complex arguments (u, v, w).
+
+    Sums simplex shells q = l+p+k under :func:`_sum_until_quiet`; the error
+    estimate is geometric: |last shell| / (1 - ratio of the last two nonzero
+    shell magnitudes) when that ratio is below one, else |last shell|.  Raises
+    :class:`SeriesOverflowError` when a shell or the partial sum leaves the
+    double range; a hit of ``max_shell`` returns ``converged=False``.
+    """
+    ctrl = ctrl or SeriesControl()
+    complex_in = any(isinstance(z, complex) and z.imag != 0.0 for z in (u, v, w))
+    slots = tuple(_arg_parts(z) for z in (u, v, w))
+
+    def shells():
+        for parts in _shells(params, slots, ctrl.max_shell):
+            if parts is None:
+                yield 0.0
+                continue
+            l, p, k, _, logmag, sign = parts
+            with np.errstate(over="ignore", invalid="ignore"):
+                if complex_in:
+                    phase = l * slots[0][2] + p * slots[1][2] + k * slots[2][2]
+                    terms = sign * np.exp(logmag + 1j * phase)
+                else:
+                    terms = sign * np.exp(logmag)
+                shell = terms.sum()
+            yield shell
+
+    try:
+        return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0)
+    except SeriesOverflowError as exc:
+        raise SeriesOverflowError(
+            f"{exc} (params={params}, |u|,|v|,|w|={abs(u):.3g},{abs(v):.3g},{abs(w):.3g})"
+        ) from None
+
+
+def _value_at_zero(params: MLParams) -> float:
+    """Limit of the univariate form at r = 0: 0 for delta > 1, 1/Gamma(1) = 1 for delta = 1."""
+    if params.delta > 1.0:
+        return 0.0
+    if params.delta == 1.0:
+        return 1.0
+    raise DomainError("r = 0 requires delta >= 1")
 
 
 def eval_univariate(
@@ -274,11 +303,7 @@ def eval_univariate(
     if r < 0.0:
         raise DomainError(f"univariate form requires r >= 0, got {r}")
     if r == 0.0:
-        if params.delta > 1.0:
-            return EvalResult(0.0, 0.0, 0, True)
-        if params.delta == 1.0:
-            return EvalResult(1.0, 0.0, 0, True)
-        raise DomainError("r = 0 requires delta >= 1")
+        return EvalResult(_value_at_zero(params), 0.0, 0, True)
     u = lam.lambda1 * r**params.alpha
     v = lam.lambda2 * r**params.beta
     w = lam.lambda3 * r**params.gamma
@@ -307,12 +332,7 @@ def eval_univariate_grid(
     out = np.empty(rs.shape, dtype=float)
     zero = rs == 0.0
     if zero.any():
-        if params.delta > 1.0:
-            out[zero] = 0.0
-        elif params.delta == 1.0:
-            out[zero] = 1.0
-        else:
-            raise DomainError("r = 0 requires delta >= 1")
+        out[zero] = _value_at_zero(params)
     live = ~zero
     if not live.any():
         return out, EvalResult(out[0] if out.size else 0.0, 0.0, 0, True)
@@ -339,50 +359,12 @@ def _univariate_coeffs(params: MLParams, lam: LambdaTriple, qmax: int):
     r^(delta-1) E(...) = sum_j c_j r^(e_j),  truncated at shell qmax.
     Index directions with a zero lambda are pruned.
     """
-    poch_signs, poch_logs = log_pochhammer_table(params.eta, qmax + 1)
-    logfact = _logfact(qmax + 1)
-    lams = lam.as_tuple()
-    loglam = [(-math.inf if x == 0.0 else math.log(abs(x))) for x in lams]
-    sglam = [(-1.0 if x < 0.0 else 1.0) for x in lams]
-
-    all_e, all_logc, all_sign = [], [], []
-    for q in range(qmax + 1):
-        if poch_signs[q] == 0.0:
-            break
-        l, p = _shell_lp(q)
-        k = q - l - p
-        keep = np.ones(l.size, dtype=bool)
-        if lams[0] == 0.0:
-            keep &= l == 0
-        if lams[1] == 0.0:
-            keep &= p == 0
-        if lams[2] == 0.0:
-            keep &= k == 0
-        l, p, k = l[keep], p[keep], k[keep]
-        if l.size == 0:
-            continue
-        garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
-        rg_sign, rg_log = signed_log_rgamma(garg)
-        logc = poch_logs[q] + rg_log - logfact[l] - logfact[p] - logfact[k]
-        if lams[0] != 0.0:
-            logc = logc + l * loglam[0]
-        if lams[1] != 0.0:
-            logc = logc + p * loglam[1]
-        if lams[2] != 0.0:
-            logc = logc + k * loglam[2]
-        sign = poch_signs[q] * rg_sign
-        if sglam[0] < 0.0:
-            sign = sign * np.where(l % 2 == 1, -1.0, 1.0)
-        if sglam[1] < 0.0:
-            sign = sign * np.where(p % 2 == 1, -1.0, 1.0)
-        if sglam[2] < 0.0:
-            sign = sign * np.where(k % 2 == 1, -1.0, 1.0)
-        all_e.append(garg - 1.0)  # exponent of r, delta-1 folded in
-        all_logc.append(logc)
-        all_sign.append(sign)
-    if not all_e:
+    slots = tuple(_arg_parts(x) for x in lam.as_tuple())
+    coeffs = [parts[3:] for parts in _shells(params, slots, qmax) if parts is not None]
+    if not coeffs:
         return np.zeros(1), np.full(1, -np.inf), np.zeros(1)
-    return np.concatenate(all_e), np.concatenate(all_logc), np.concatenate(all_sign)
+    garg, logc, sign = (np.concatenate(col) for col in zip(*coeffs))
+    return garg - 1.0, logc, sign  # exponent of r, delta-1 folded in
 
 
 def eval_prabhakar(
@@ -399,41 +381,24 @@ def eval_prabhakar(
     complex_in = isinstance(s, complex) and s.imag != 0.0
     zs, log_s, ph_s, sg_s = _arg_parts(s)
 
-    partial = 0.0 + 0.0j if complex_in else 0.0
-    quiet = 0
-    last_mag = 0.0
-    last_mags: list[float] = []
-    for k in range(ctrl.max_shell + 1):
-        p_sign, p_log = log_pochhammer(eta, k)
-        if p_sign == 0.0:
-            return EvalResult(partial, 0.0, k + 1, True)
-        if zs and k > 0:
-            return EvalResult(partial, 0.0, k + 1, True)
-        rg_sign, rg_log = signed_log_rgamma(np.array([k * alpha + delta]))
-        logmag = p_log + float(rg_log[0]) - math.lgamma(k + 1.0)
-        if not zs:
-            logmag += k * log_s
-        if logmag > _EXP_MAX:
-            raise SeriesOverflowError(f"term {k} exceeds the double range")
-        sign = p_sign * float(rg_sign[0]) * (sg_s if (k % 2 and sg_s < 0) else 1.0)
-        if complex_in:
-            term = sign * math.exp(logmag) * complex(math.cos(k * ph_s), math.sin(k * ph_s))
-        else:
-            term = sign * math.exp(logmag)
-        partial += term
-        mag = last_mag = abs(term)
-        if mag > 0.0:
-            last_mags = (last_mags + [mag])[-2:]
-        if mag <= ctrl.rel_tol * max(abs(partial), 1.0):
-            quiet += 1
-            if quiet >= ctrl.consecutive_quiet_shells:
-                est = _tail_estimate(last_mag, last_mags)
-                if est <= ctrl.rel_tol * max(abs(partial), 1.0):
-                    return EvalResult(partial, est, k + 1, True)
-                quiet -= 1
-        else:
-            quiet = 0
-    return EvalResult(partial, _tail_estimate(last_mag, last_mags), ctrl.max_shell + 1, False)
+    def terms():
+        for k in range(ctrl.max_shell + 1):
+            p_sign, p_log = log_pochhammer(eta, k)
+            if p_sign == 0.0 or (zs and k > 0):
+                return
+            rg_sign, rg_log = signed_log_rgamma(np.array([k * alpha + delta]))
+            logmag = p_log + float(rg_log[0]) - math.lgamma(k + 1.0)
+            if not zs:
+                logmag += k * log_s
+            if logmag > _EXP_MAX:
+                raise SeriesOverflowError(f"term {k} exceeds the double range")
+            sign = p_sign * float(rg_sign[0]) * (sg_s if (k % 2 and sg_s < 0) else 1.0)
+            if complex_in:
+                yield sign * math.exp(logmag) * complex(math.cos(k * ph_s), math.sin(k * ph_s))
+            else:
+                yield sign * math.exp(logmag)
+
+    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0)
 
 
 def eval_fox_wright_1psi1(
@@ -454,40 +419,25 @@ def eval_fox_wright_1psi1(
     complex_in = isinstance(s, complex) and s.imag != 0.0
     zs, log_s, ph_s, sg_s = _arg_parts(s)
 
-    partial = 0.0 + 0.0j if complex_in else 0.0
-    quiet = 0
-    last_mag = 0.0
-    last_mags: list[float] = []
-    for k in range(ctrl.max_shell + 1):
-        narg = l0 + a0 * k
-        if narg <= 0.0 and narg == math.floor(narg):
-            raise DomainError(f"numerator gamma pole at term {k} (argument {narg})")
-        n_sign = 1.0 if narg > 0.0 else math.copysign(1.0, float(sinpi(narg)))
-        n_log = math.lgamma(narg)
-        if zs and k > 0:
-            return EvalResult(partial, 0.0, k + 1, True)
-        rg_sign, rg_log = signed_log_rgamma(np.array([m0 + b0 * k]))
-        logmag = n_log + float(rg_log[0]) - math.lgamma(k + 1.0)
-        if not zs:
-            logmag += k * log_s
-        if logmag > _EXP_MAX:
-            raise SeriesOverflowError(f"term {k} exceeds the double range")
-        sign = n_sign * float(rg_sign[0]) * (sg_s if (k % 2 and sg_s < 0) else 1.0)
-        if complex_in:
-            term = sign * math.exp(logmag) * complex(math.cos(k * ph_s), math.sin(k * ph_s))
-        else:
-            term = sign * math.exp(logmag)
-        partial += term
-        mag = last_mag = abs(term)
-        if mag > 0.0:
-            last_mags = (last_mags + [mag])[-2:]
-        if mag <= ctrl.rel_tol * max(abs(partial), 1.0):
-            quiet += 1
-            if quiet >= ctrl.consecutive_quiet_shells:
-                est = _tail_estimate(last_mag, last_mags)
-                if est <= ctrl.rel_tol * max(abs(partial), 1.0):
-                    return EvalResult(partial, est, k + 1, True)
-                quiet -= 1
-        else:
-            quiet = 0
-    return EvalResult(partial, _tail_estimate(last_mag, last_mags), ctrl.max_shell + 1, False)
+    def terms():
+        for k in range(ctrl.max_shell + 1):
+            narg = l0 + a0 * k
+            if narg <= 0.0 and narg == math.floor(narg):
+                raise DomainError(f"numerator gamma pole at term {k} (argument {narg})")
+            n_sign = 1.0 if narg > 0.0 else math.copysign(1.0, float(sinpi(narg)))
+            n_log = math.lgamma(narg)
+            if zs and k > 0:
+                return
+            rg_sign, rg_log = signed_log_rgamma(np.array([m0 + b0 * k]))
+            logmag = n_log + float(rg_log[0]) - math.lgamma(k + 1.0)
+            if not zs:
+                logmag += k * log_s
+            if logmag > _EXP_MAX:
+                raise SeriesOverflowError(f"term {k} exceeds the double range")
+            sign = n_sign * float(rg_sign[0]) * (sg_s if (k % 2 and sg_s < 0) else 1.0)
+            if complex_in:
+                yield sign * math.exp(logmag) * complex(math.cos(k * ph_s), math.sin(k * ph_s))
+            else:
+                yield sign * math.exp(logmag)
+
+    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0)

@@ -135,6 +135,16 @@ def ml_params_for(spec: IVPSpec, delta: float) -> MLParams:
     return MLParams(spec.alpha, spec.alpha - spec.gamma, spec.alpha - spec.beta, delta, 1.0)
 
 
+def _l1_operators(spec: IVPSpec, h: float, n: int):
+    """(kappa h^(-mu) / Gamma(2-mu), L1 weights) for the three Caputo terms of the left side.
+
+    The left side is D^alpha - l3 D^beta - l2 D^gamma, so kappa is 1, -l3, -l2
+    for the orders alpha, beta, gamma.
+    """
+    for mu, kap in ((spec.alpha, 1.0), (spec.beta, -spec.lambda3), (spec.gamma, -spec.lambda2)):
+        yield kap * h ** (-mu) / math.gamma(2.0 - mu), l1_weights(mu, n)
+
+
 def _homog_result(spec: IVPSpec, r: float, ctrl: SeriesControl | None) -> EvalResult:
     if r == 0.0:
         return EvalResult(spec.y0, 0.0, 0, True)
@@ -266,9 +276,9 @@ def solve(
 ) -> SolutionTrace:
     """Superposition of the homogeneous closed form and the particular integral.
 
-    Evaluates every grid point; points where the series or quadrature fails
-    are recorded as NaN with an infinite error estimate and a False converged
-    flag rather than aborting the trace.
+    Evaluates every grid point; a point whose series overflows or misses the
+    shell budget, or whose quadrature fails, is recorded as NaN with an
+    infinite error estimate and a False converged flag.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
@@ -282,16 +292,13 @@ def solve(
         try:
             res = _homog_result(spec, float(r), ctrl)
             val = res.value.real if isinstance(res.value, complex) else res.value
-            err = res.abs_error_estimate
             ok = res.converged
             if g is not None and r > 0.0 and ok:
                 val += particular_solution(spec, g, float(r), quad_nodes, ctrl)
         except (SeriesOverflowError, SeriesNotConvergedError, QuadratureError):
-            val, err, ok = math.nan, math.inf, False
-        if not ok:
-            err = math.inf
-        values[i] = val
-        errs[i] = err
+            ok = False
+        values[i] = val if ok else math.nan
+        errs[i] = res.abs_error_estimate if ok else math.inf
         flags[i] = ok
     return SolutionTrace(grid, values, "series", errs, flags)
 
@@ -316,10 +323,7 @@ def numeric_oracle_solve(
     grid = step * np.arange(n_steps + 1)
     h = step
 
-    orders = (spec.alpha, spec.beta, spec.gamma)
-    kappas = (1.0, -spec.lambda3, -spec.lambda2)
-    cs = [kap * h ** (-mu) / math.gamma(2.0 - mu) for mu, kap in zip(orders, kappas)]
-    bs = [l1_weights(mu, n_steps) for mu in orders]
+    cs, bs = zip(*_l1_operators(spec, h, n_steps))
     lead = sum(cs) - spec.lambda1
     if abs(lead) < 1e-14 * max(sum(abs(c) for c in cs), 1.0):
         raise SingularStepError(f"leading coefficient ~ 0 at h={h}")
@@ -357,14 +361,10 @@ def residual_check(
     if np.abs(steps - h).max() > 1e-12 * max(h, 1.0):
         raise DomainError("residual check requires a uniform grid")
     n_pts = grid.size - 1
-    orders = (spec.alpha, spec.beta, spec.gamma)
-    kappas = (1.0, -spec.lambda3, -spec.lambda2)
     dy = np.diff(trace.values)
     resid = -spec.lambda1 * trace.values[1:]
-    for mu, kap in zip(orders, kappas):
-        b = l1_weights(mu, n_pts)
-        conv = np.convolve(b, dy)[:n_pts]
-        resid = resid + kap * h ** (-mu) / math.gamma(2.0 - mu) * conv
+    for c, b in _l1_operators(spec, h, n_pts):
+        resid = resid + c * np.convolve(b, dy)[:n_pts]
     if g is not None:
         resid = resid - np.asarray(g(grid[1:]), dtype=float)
     mask = grid[1:] >= min_r

@@ -168,6 +168,18 @@ class TestSolve:
         )
         assert code == 4
 
+    def test_singular_l1_step_exit_2(self, capsys, tmp_path):
+        # lambda1 equals the sum of the three L1 leading coefficients at h = 0.5
+        out_file = tmp_path / "trace.csv"
+        code, _, err = run_cli(
+            capsys, "solve", "--alpha", "0.9", "--beta", "0.5", "--gamma", "0.3",
+            "--lambda1", "3.460925599591151", "--lambda2", "-0.4", "--lambda3", "-0.6",
+            "--y0", "1", "--t-max", "1", "--n-points", "4", "--oracle", "h=0.5",
+            "--out", str(out_file),
+        )
+        assert code == 2 and err.startswith("error:")
+        assert not out_file.exists()
+
     def test_invalid_spec_exit_2_no_partial_file(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
         code, _, _ = run_cli(

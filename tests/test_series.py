@@ -95,10 +95,6 @@ class TestTrivariate:
             ).value
             assert abs(base - perm) <= 1e-12 * max(abs(base), 1.0)
 
-    def test_not_converged_flag(self):
-        res = eval_trivariate(MLParams(1, 1, 1, 1, 1), 30.0, 0.0, 0.0, SeriesControl(max_shell=5))
-        assert not res.converged and res.shells_used == 6
-
     def test_overflow_error(self):
         with pytest.raises(SeriesOverflowError):
             eval_trivariate(MLParams(0.3, 0.3, 0.3, 1.0, 1.0), 30.0, 30.0, 30.0,
@@ -132,6 +128,28 @@ class TestTrivariate:
             SeriesControl(max_shell=0)
         with pytest.raises(DomainError):
             MLParams(0.0, 1.0, 1.0, 1.0, 1.0)
+
+
+# each engine sums exp(s) here, so all three reach the same stopping decisions
+ENGINES = {
+    "eval_trivariate": lambda s, ctrl: eval_trivariate(MLParams(1, 1, 1, 1, 1), s, 0.0, 0.0, ctrl),
+    "eval_prabhakar": lambda s, ctrl: eval_prabhakar(1.0, 1.0, 1.0, s, ctrl),
+    "eval_fox_wright_1psi1": lambda s, ctrl: eval_fox_wright_1psi1((1.0, 1.0), (1.0, 1.0), s, ctrl),
+}
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+class TestStoppingRule:
+    def test_not_converged_flag(self, engine):
+        res = ENGINES[engine](30.0, SeriesControl(max_shell=5))
+        assert not res.converged and res.shells_used == 6
+
+    def test_overflow_error(self, engine):
+        # no single term of exp(710) overflows, only the partial sum does
+        with pytest.raises(SeriesOverflowError) as info:
+            ENGINES[engine](710.0, SeriesControl(max_shell=3000))
+        if engine == "eval_trivariate":
+            assert "params=MLParams(" in str(info.value) and "|u|,|v|,|w|=710," in str(info.value)
 
 
 class TestUnivariate:

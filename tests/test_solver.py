@@ -175,6 +175,14 @@ class TestSolve:
         trace = solve(MIXED, g, np.linspace(0.0, 0.8, 5), CTRL)
         assert trace.values[0] == MIXED.y0
 
+    def test_unconverged_point_is_nan(self):
+        # the worked example leaves the 400-shell budget at r = 0.125; its
+        # partial sum (about 1e113) must not be reported as a value
+        trace = solve(IVPSpec(0.8, 0.6, 0.4, 0.5, 3.0, 5.0, 2.0), None, [0.0, 0.125])
+        assert trace.values[0] == 2.0 and trace.converged[0]
+        assert math.isnan(trace.values[1])
+        assert trace.abs_err[1] == math.inf and not trace.converged[1]
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             solve(TAME, None, [0.5, 1.0])
