@@ -1,9 +1,11 @@
 """Command-line front end: evaluate, solve, verify, and emit CSV tables.
 
 Exit codes: 0 success, 1 verification failure, 2 validation error
-(including an L1 step whose leading coefficient vanishes), 3 non-convergence,
-4 I/O error.  Output files are written to a temporary sibling and renamed
-into place, so a failing run never leaves a partial file.
+(including an L1 step whose leading coefficient vanishes), 3 non-convergence
+(including a Talbot inversion or Gauss-Jacobi quadrature that fails its
+node-doubling check), 4 I/O error.  Output files are written to a temporary
+sibling and renamed into place, so a failing run never leaves a partial file;
+they get the mode the umask gives a newly created file.
 All numbers are printed with 17 significant digits (round-trip exact for
 IEEE doubles), '.' decimal point, '\\n' newlines.
 """
@@ -14,11 +16,18 @@ import argparse
 import json
 import os
 import sys
-import tempfile
+import uuid
 
 import numpy as np
 
-from .errors import DomainError, SeriesNotConvergedError, SeriesOverflowError, SingularStepError
+from .errors import (
+    DomainError,
+    QuadratureError,
+    SeriesNotConvergedError,
+    SeriesOverflowError,
+    SingularStepError,
+    TalbotDivergenceError,
+)
 from .series import LambdaTriple, MLParams, SeriesControl, eval_prabhakar, eval_trivariate, eval_univariate
 from .solver import Forcing, IVPSpec, numeric_oracle_solve, solve
 from .verify import run_checks
@@ -43,7 +52,10 @@ def _parse_complex(text: str) -> complex:
 
 def _write_atomic(path: str, lines: list[str]) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-trivml-")
+    tmp = os.path.join(directory, f".tmp-trivml-{uuid.uuid4().hex}")
+    # exclusive create like mkstemp, but with mode 0666 so the umask applies
+    # as it does for open() (mkstemp would leave the file 0600)
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -332,7 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ValueError, KeyError, SingularStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (SeriesNotConvergedError, SeriesOverflowError) as exc:
+    except (SeriesNotConvergedError, SeriesOverflowError, TalbotDivergenceError, QuadratureError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
     except _IOFailure as exc:

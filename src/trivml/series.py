@@ -9,6 +9,8 @@ evaluated by summing simplex shells l+p+k = q in increasing q.  Shells are the
 natural truncation unit because the rising-factorial numerator grows with the
 total degree.  Term magnitudes are assembled in log space and exponentiated
 once per term; signs (and phases, for complex arguments) ride separately.
+The argument-free part of each shell is built once per parameter set and
+kept in a small table (:func:`_shells`); a call adds only n log|z| per slot.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
@@ -24,6 +26,8 @@ zero termwise through the reciprocal gamma).
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,40 +165,90 @@ def _arg_parts(z):
     return False, math.log(abs(x)), 0.0, (1.0 if x > 0.0 else -1.0)
 
 
+# Argument-free shell tables, one per (params, slot pattern): at most
+# _SHELL_TABLES of them, least recently used evicted first.  A table is an
+# immutable (shells, terminated) pair replaced whole, under the lock, when it
+# grows.  A key seen for the first time gets an empty table, and its shells are
+# stored from the second call on, so parameters used once retain nothing.  A
+# table keeps shells q <= _TABLE_MAX_Q (up to 5 MB); later ones are rebuilt
+# per call.
+_SHELL_TABLES = 4
+_TABLE_MAX_Q = 96
+_shell_tables: OrderedDict[tuple, tuple[tuple, bool]] = OrderedDict()
+_shell_tables_lock = threading.Lock()
+
+
 def _shells(params: MLParams, slots, qmax: int):
-    """Indices, gamma arguments, log|coefficient| and signs of shells q = 0..qmax.
+    """Argument-free parts (l, p, k, garg, logmag, sign) of shells q = 0..qmax.
 
     ``slots`` holds one :func:`_arg_parts` tuple per index direction (l, p, k);
-    a zero slot prunes every index that would raise it to a positive power, and
-    a shell that pruning empties comes out as None.  Stops early once (eta)_q
-    vanishes, since every later shell is then identically zero.
+    only its pattern (is_zero, is negative) enters.  A zero slot prunes every
+    index that would raise it to a positive power, and a shell that pruning
+    empties comes out as None.  ``logmag`` is log|(eta)_q / (Gamma(garg)
+    l! p! k!)| and ``sign`` includes (-1)^n for every negative slot; callers
+    add n log|z| per slot.  Stops early once (eta)_q vanishes, since every
+    later shell is then identically zero.  Shells come from the table for
+    (params, pattern); if the key was seen before, the ones built here are
+    stored when the generator ends, unless another caller stored a table at
+    least as long.
     """
-    poch_signs, poch_logs = log_pochhammer_table(params.eta, qmax + 1)
-    logfact = _logfact(qmax + 1)
-    for q in range(qmax + 1):
-        if poch_signs[q] == 0.0:
-            return
-        l, p = _shell_lp(q)
-        k = q - l - p
-        keep = np.ones(l.size, dtype=bool)
-        for n, slot in zip((l, p, k), slots):
-            if slot[0]:
-                keep &= n == 0
-        if not keep.all():
-            l, p, k = l[keep], p[keep], k[keep]
-        if l.size == 0:
-            yield None
-            continue
-        garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
-        rg_sign, rg_log = signed_log_rgamma(garg)
-        logmag = poch_logs[q] + rg_log - logfact[l] - logfact[p] - logfact[k]
-        sign = poch_signs[q] * rg_sign
-        for n, (is_zero, log_z, _, sg) in zip((l, p, k), slots):
-            if not is_zero:
-                logmag = logmag + n * log_z
-            if sg < 0.0:
-                sign = sign * np.where(n % 2 == 1, -1.0, 1.0)
-        yield l, p, k, garg, logmag, sign
+    pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
+    key = (params, pattern)
+    with _shell_tables_lock:
+        entry = _shell_tables.pop(key, None)
+        _shell_tables[key] = entry or ((), False)
+        if len(_shell_tables) > _SHELL_TABLES:
+            _shell_tables.popitem(last=False)
+    table, terminated = entry or ((), False)
+    yield from table[: qmax + 1]
+    if terminated or len(table) > qmax:
+        return
+    store = entry is not None
+    zero_dirs = [d for d, (is_zero, _) in enumerate(pattern) if is_zero]
+    negative_dirs = [d for d, (_, negative) in enumerate(pattern) if negative]
+    built = []
+    try:
+        poch_signs, poch_logs = log_pochhammer_table(params.eta, qmax + 1)
+        logfact = _logfact(qmax + 1)
+        for q in range(len(table), qmax + 1):
+            if poch_signs[q] == 0.0:
+                # the table is complete if it holds every shell before q
+                terminated = store and q <= _TABLE_MAX_Q + 1
+                return
+            l, p = _shell_lp(q)
+            k = q - l - p
+            if zero_dirs:
+                keep = np.ones(l.size, dtype=bool)
+                for d in zero_dirs:
+                    keep &= (l, p, k)[d] == 0
+                l, p, k = l[keep], p[keep], k[keep]
+            if l.size == 0:
+                shell = None
+            else:
+                garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
+                rg_sign, rg_log = signed_log_rgamma(garg)
+                logmag = poch_logs[q] + rg_log - logfact[l] - logfact[p] - logfact[k]
+                sign = poch_signs[q] * rg_sign
+                for d in negative_dirs:
+                    sign = sign * np.where((l, p, k)[d] % 2 == 1, -1.0, 1.0)
+                shell = (l, p, k, garg, logmag, sign)
+            if store and q <= _TABLE_MAX_Q:
+                built.append(shell)
+            yield shell
+    finally:
+        with _shell_tables_lock:
+            stored = _shell_tables.get(key)
+            if stored and (len(table) + len(built), terminated) > (len(stored[0]), stored[1]):
+                _shell_tables[key] = (table + tuple(built), terminated)
+
+
+def _with_arg_logs(parts, slots):
+    """Shell log|term| array: the argument-free logmag plus n log|z| per nonzero slot."""
+    l, p, k, _, logmag, _ = parts
+    for n, (is_zero, log_z, _, _) in zip((l, p, k), slots):
+        if not is_zero:
+            logmag = logmag + n * log_z
+    return logmag
 
 
 def _sum_until_quiet(shells, ctrl: SeriesControl, zero) -> EvalResult:
@@ -265,7 +319,8 @@ def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None
             if parts is None:
                 yield 0.0
                 continue
-            l, p, k, _, logmag, sign = parts
+            l, p, k, _, _, sign = parts
+            logmag = _with_arg_logs(parts, slots)
             with np.errstate(over="ignore", invalid="ignore"):
                 if complex_in:
                     phase = l * slots[0][2] + p * slots[1][2] + k * slots[2][2]
@@ -360,7 +415,11 @@ def _univariate_coeffs(params: MLParams, lam: LambdaTriple, qmax: int):
     Index directions with a zero lambda are pruned.
     """
     slots = tuple(_arg_parts(x) for x in lam.as_tuple())
-    coeffs = [parts[3:] for parts in _shells(params, slots, qmax) if parts is not None]
+    coeffs = [
+        (parts[3], _with_arg_logs(parts, slots), parts[5])
+        for parts in _shells(params, slots, qmax)
+        if parts is not None
+    ]
     if not coeffs:
         return np.zeros(1), np.full(1, -np.inf), np.zeros(1)
     garg, logc, sign = (np.concatenate(col) for col in zip(*coeffs))

@@ -190,7 +190,7 @@ def solve_homogeneous_fox_wright(
     x3 = spec.lambda3 * r**ab
     log_r = math.log(r)
     total = 0.0
-    dmax = (ctrl.max_shell if ctrl else 400)
+    dmax = (ctrl or SeriesControl()).max_shell
     quiet = 0
     for d in range(dmax + 1):
         block = 0.0

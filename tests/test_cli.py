@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
 
+from trivml import verify
 from trivml.cli import main
+from trivml.errors import QuadratureError, TalbotDivergenceError
 from trivml.series import LambdaTriple, MLParams, SeriesControl, eval_trivariate, eval_univariate
 from trivml.solver import IVPSpec, solve
 
@@ -180,6 +184,19 @@ class TestSolve:
         assert code == 2 and err.startswith("error:")
         assert not out_file.exists()
 
+    def test_out_file_mode_follows_umask(self, capsys, tmp_path):
+        out = tmp_path / "y.csv"
+        old = os.umask(0o022)
+        try:
+            code, _, _ = run_cli(
+                capsys, "solve", "--alpha", "0.9", "--beta", "0.6", "--gamma", "0.3",
+                "--lambda1", "0", "--lambda2", "0", "--lambda3", "0", "--y0", "1.5",
+                "--t-max", "1", "--n-points", "4", "--out", str(out),
+            )
+        finally:
+            os.umask(old)
+        assert code == 0 and stat.S_IMODE(out.stat().st_mode) == 0o644
+
     def test_invalid_spec_exit_2_no_partial_file(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
         code, _, _ = run_cli(
@@ -205,6 +222,16 @@ class TestVerify:
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--only", "no-such-check")
         assert code == 2 and "unknown check" in err
+
+    @pytest.mark.parametrize("exc", [TalbotDivergenceError, QuadratureError])
+    def test_node_doubling_failure_exit_3(self, capsys, monkeypatch, exc):
+        def diverge(rng):
+            raise exc("node doubling moved the result")
+
+        _, tol, needs_rng = verify._CHECKS["laplace-duality"]
+        monkeypatch.setitem(verify._CHECKS, "laplace-duality", (diverge, tol, needs_rng))
+        code, _, err = run_cli(capsys, "verify", "--only", "laplace-duality")
+        assert code == 3 and err.startswith("error: node doubling")
 
 
 class TestTable:

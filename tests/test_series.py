@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from conftest import tame_lambdas, tame_params
 from oracles import brute_bivariate, brute_prabhakar, brute_trivariate
 
+from trivml import series
 from trivml.errors import DomainError, SeriesOverflowError
 from trivml.series import (
     EvalResult,
@@ -282,3 +285,119 @@ class TestBivariateReduction:
         for u, v, w in ((-2.0, 1.0, 2.0), (2.0, 2.0, 2.0), (-1.0, -1.0, -1.0)):
             got = eval_trivariate(MLParams(1, 1, 1, 1, 1), u, v, w, CTRL).value
             assert abs(got - math.exp(u + v + w)) <= 1e-10 * abs(math.exp(u + v + w))
+
+
+def _bits(res: EvalResult):
+    return (repr(complex(res.value)), repr(res.abs_error_estimate), res.shells_used, res.converged)
+
+
+@pytest.fixture
+def cold_tables():
+    """Empty the shell tables before and after the test."""
+    series._shell_tables.clear()
+    yield
+    series._shell_tables.clear()
+
+
+@pytest.mark.usefixtures("cold_tables")
+class TestShellTable:
+    P = MLParams(0.9, 1.3, 0.5, 1.2, 1.4)
+
+    def _cold(self, fn):
+        series._shell_tables.clear()
+        return fn()
+
+    def test_warm_matches_cold_across_slot_patterns(self):
+        # sign flips, a zero slot and complex arguments share params but not
+        # patterns; each filler shares its pattern with the reader beside it
+        pairs = [
+            ((0.7, 0.4, 1.1), (0.2, 0.9, 0.3)),
+            ((-0.7, 0.4, -1.1), (-0.1, 0.8, -2.0)),
+            ((-0.7, 0.0, -1.1), (-1.7, 0.0, -0.1)),
+            ((0.3 + 0.4j, -0.2, 0.5 - 0.3j), (-0.6j, -1.2, 0.1 + 0.1j)),
+        ]
+        readers = [reader for _, reader in pairs]
+        cold = [self._cold(lambda: _bits(eval_trivariate(self.P, *a, CTRL))) for a in readers]
+        for filler, _ in pairs:
+            series._shell_tables.clear()
+            for _ in range(2):
+                eval_trivariate(self.P, *filler, CTRL)
+            assert [_bits(eval_trivariate(self.P, *a, CTRL)) for a in readers] == cold
+
+    def test_params_are_part_of_the_key(self):
+        cold = self._cold(lambda: _bits(eval_trivariate(self.P, 0.7, 0.4, 1.1, CTRL)))
+        for _ in range(2):
+            eval_trivariate(self.P.shifted(0.5), 0.7, 0.4, 1.1, CTRL)
+        assert _bits(eval_trivariate(self.P, 0.7, 0.4, 1.1, CTRL)) == cold
+
+    def test_params_used_once_retain_no_shells(self):
+        eval_trivariate(self.P, 0.7, 0.4, 1.1, CTRL)
+        assert [len(shells) for shells, _ in series._shell_tables.values()] == [0]
+        eval_trivariate(self.P, 0.2, 0.3, 0.1, CTRL)
+        assert [len(shells) for shells, _ in series._shell_tables.values()] > [0]
+
+    def test_larger_max_shell_extends_the_table(self):
+        cold = self._cold(lambda: _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)))
+        series._shell_tables.clear()
+        for _ in range(2):  # the second call stores the six shells
+            short = eval_trivariate(self.P, 2.5, -1.5, 2.0, SeriesControl(max_shell=5))
+        assert not short.converged
+        assert _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)) == cold
+
+    def test_shells_past_the_stored_range(self):
+        # exp(60) sums more shells than a table keeps
+        p = MLParams(1, 1, 1, 1, 1)
+        cold = self._cold(lambda: _bits(eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)))
+        assert cold[2] > series._TABLE_MAX_Q + 1
+        assert _bits(eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)) == cold
+        (shells, _), = series._shell_tables.values()
+        assert len(shells) == series._TABLE_MAX_Q + 1
+
+    def test_terminating_eta(self):
+        p = MLParams(0.9, 0.7, 0.5, 1.1, -3.0)
+        cold = self._cold(lambda: _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)))
+        series._shell_tables.clear()
+        for _ in range(2):
+            eval_trivariate(p, 0.8, -0.6, 0.4, SeriesControl(max_shell=2))
+        for _ in range(2):  # the first call completes the table, the second reads it
+            assert _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)) == cold
+        (shells, terminated), = series._shell_tables.values()
+        assert terminated and len(shells) == cold[2] - 1
+
+    def test_univariate_grid_warm_matches_cold(self):
+        lam = LambdaTriple(-0.6, 0.0, 0.3)
+        rs = np.linspace(0.0, 1.5, 9)
+        cold_vals, cold_probe = self._cold(lambda: eval_univariate_grid(self.P, lam, rs, CTRL))
+        vals, probe = eval_univariate_grid(self.P, lam, rs, CTRL)
+        assert vals.tobytes() == cold_vals.tobytes() and _bits(probe) == _bits(cold_probe)
+
+    def test_bounded_number_of_tables(self):
+        for i in range(3 * series._SHELL_TABLES):
+            eval_trivariate(MLParams(0.9, 0.8, 0.7, 1.0 + 0.1 * i, 1.0), 0.5, 0.5, 0.5)
+            assert len(series._shell_tables) <= series._SHELL_TABLES
+
+    def test_threads_share_a_table(self):
+        # more threads than cores, switching often, all growing one table
+        args = [(0.1 * i, -0.05 * i, 0.02 * i + 0.3j) for i in range(1, 25)]
+        serial = [self._cold(lambda: _bits(eval_trivariate(self.P, *a, CTRL))) for a in args]
+        series._shell_tables.clear()
+        n_threads = 4
+        barrier = threading.Barrier(n_threads)
+        got = [None] * n_threads
+
+        def work(slot):
+            barrier.wait()
+            got[slot] = [_bits(eval_trivariate(self.P, *a, CTRL)) for a in args]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert got == [serial] * n_threads
