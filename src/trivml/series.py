@@ -9,8 +9,9 @@ evaluated by summing simplex shells l+p+k = q in increasing q.  Shells are the
 natural truncation unit because the rising-factorial numerator grows with the
 total degree.  Term magnitudes are assembled in log space and exponentiated
 once per term; signs (and phases, for complex arguments) ride separately.
-The argument-free part of each shell is built once per parameter set and
-kept in a small table (:func:`_shells`); a call adds only n log|z| per slot.
+The argument-free part of each shell is built once per parameter set, a
+block of shells per kernel call, and kept in a small table (:func:`_shells`);
+a call adds only n log|z| per slot.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
@@ -136,6 +137,10 @@ def _logfact(n: int) -> np.ndarray:
     return _logfact_table
 
 
+# Shells q <= _TABLE_MAX_Q are cached, both their index arrays and, per
+# parameter set, their argument-free parts (up to 5 MB per table); later
+# shells are rebuilt per call.
+_TABLE_MAX_Q = 96
 _shell_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
@@ -147,7 +152,7 @@ def _shell_lp(q: int) -> tuple[np.ndarray, np.ndarray]:
     l = np.repeat(np.arange(q + 1), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     p = np.arange(l.size) - np.repeat(offsets, counts)
-    if q <= 96:
+    if q <= _TABLE_MAX_Q:
         _shell_cache[q] = (l, p)
     return l, p
 
@@ -169,11 +174,11 @@ def _arg_parts(z):
 # _SHELL_TABLES of them, least recently used evicted first.  A table is an
 # immutable (shells, terminated) pair replaced whole, under the lock, when it
 # grows.  A key seen for the first time gets an empty table, and its shells are
-# stored from the second call on, so parameters used once retain nothing.  A
-# table keeps shells q <= _TABLE_MAX_Q (up to 5 MB); later ones are rebuilt
-# per call.
+# stored from the second call on, so parameters used once retain nothing.
+# Shells missing from a table are built _SHELL_BLOCK at a time, and a table
+# grows by whole blocks.
 _SHELL_TABLES = 4
-_TABLE_MAX_Q = 96
+_SHELL_BLOCK = 8
 _shell_tables: OrderedDict[tuple, tuple[tuple, bool]] = OrderedDict()
 _shell_tables_lock = threading.Lock()
 
@@ -188,9 +193,10 @@ def _shells(params: MLParams, slots, qmax: int):
     l! p! k!)| and ``sign`` includes (-1)^n for every negative slot; callers
     add n log|z| per slot.  Stops early once (eta)_q vanishes, since every
     later shell is then identically zero.  Shells come from the table for
-    (params, pattern); if the key was seen before, the ones built here are
-    stored when the generator ends, unless another caller stored a table at
-    least as long.
+    (params, pattern); the rest are built by :func:`_shell_block`, so up to
+    ``_SHELL_BLOCK - 1`` shells past the last one read.  If the key was seen
+    before, the blocks built here are stored when the generator ends, unless
+    another caller stored a table at least as long.
     """
     pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
     key = (params, pattern)
@@ -204,42 +210,73 @@ def _shells(params: MLParams, slots, qmax: int):
     if terminated or len(table) > qmax:
         return
     store = entry is not None
-    zero_dirs = [d for d, (is_zero, _) in enumerate(pattern) if is_zero]
-    negative_dirs = [d for d, (_, negative) in enumerate(pattern) if negative]
+    poch = log_pochhammer_table(params.eta, qmax + 1)
+    logfact = _logfact(qmax + 1)
+    vanish = np.flatnonzero(poch[0][: qmax + 1] == 0.0)
+    qend = int(vanish[0]) if vanish.size else qmax + 1
     built = []
     try:
-        poch_signs, poch_logs = log_pochhammer_table(params.eta, qmax + 1)
-        logfact = _logfact(qmax + 1)
-        for q in range(len(table), qmax + 1):
-            if poch_signs[q] == 0.0:
-                # the table is complete if it holds every shell before q
-                terminated = store and q <= _TABLE_MAX_Q + 1
-                return
-            l, p = _shell_lp(q)
-            k = q - l - p
-            if zero_dirs:
-                keep = np.ones(l.size, dtype=bool)
-                for d in zero_dirs:
-                    keep &= (l, p, k)[d] == 0
-                l, p, k = l[keep], p[keep], k[keep]
-            if l.size == 0:
-                shell = None
-            else:
-                garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
-                rg_sign, rg_log = signed_log_rgamma(garg)
-                logmag = poch_logs[q] + rg_log - logfact[l] - logfact[p] - logfact[k]
-                sign = poch_signs[q] * rg_sign
-                for d in negative_dirs:
-                    sign = sign * np.where((l, p, k)[d] % 2 == 1, -1.0, 1.0)
-                shell = (l, p, k, garg, logmag, sign)
-            if store and q <= _TABLE_MAX_Q:
-                built.append(shell)
-            yield shell
+        q0 = len(table)
+        while q0 < qend:
+            q1 = min(q0 + _SHELL_BLOCK, qend)
+            if q0 <= _TABLE_MAX_Q:
+                # no block straddles the stored range, so a stored shell keeps
+                # alive only arrays whose every element the table holds
+                q1 = min(q1, _TABLE_MAX_Q + 1)
+            block = _shell_block(params, pattern, poch, logfact, q0, q1)
+            if store and q0 <= _TABLE_MAX_Q:
+                built += block
+            yield from block
+            q0 = q1
     finally:
+        # (eta)_q vanishes from qend on, so a table holding every shell before it is complete
+        terminated = qend <= qmax and len(table) + len(built) == qend
         with _shell_tables_lock:
             stored = _shell_tables.get(key)
             if stored and (len(table) + len(built), terminated) > (len(stored[0]), stored[1]):
                 _shell_tables[key] = (table + tuple(built), terminated)
+
+
+def _shell_block(params: MLParams, pattern, poch, logfact, q0: int, q1: int) -> list:
+    """Shells q0..q1-1 of :func:`_shells`, built in one pass.
+
+    The block's index arrays are concatenated, so one ``signed_log_rgamma``
+    call and one elementwise pass cover every term; each shell is then a view
+    of the block's arrays.  Without a zero slot, a shell's (l, p) are the
+    shared :func:`_shell_lp` arrays.
+    """
+    poch_signs, poch_logs = poch
+    lps = [_shell_lp(q) for q in range(q0, q1)]
+    sizes = [l.size for l, _ in lps]
+    qs = np.repeat(np.arange(q0, q1), sizes)
+    l = np.concatenate([l for l, _ in lps])
+    p = np.concatenate([p for _, p in lps])
+    k = qs - l - p
+    zero_dirs = [d for d, (is_zero, _) in enumerate(pattern) if is_zero]
+    if zero_dirs:
+        keep = np.ones(l.size, dtype=bool)
+        for d in zero_dirs:
+            keep &= (l, p, k)[d] == 0
+        l, p, k, qs = l[keep], p[keep], k[keep], qs[keep]
+        sizes = np.bincount(qs - q0, minlength=q1 - q0).tolist()
+    garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
+    rg_sign, rg_log = signed_log_rgamma(garg)
+    logmag = poch_logs[qs] + rg_log - logfact[l] - logfact[p] - logfact[k]
+    sign = poch_signs[qs] * rg_sign
+    for d, (_, negative) in enumerate(pattern):
+        if negative:
+            sign = sign * np.where((l, p, k)[d] % 2 == 1, -1.0, 1.0)
+    shells = []
+    start = 0
+    for lp, size in zip(lps, sizes):
+        part = slice(start, start + size)
+        start += size
+        if size == 0:
+            shells.append(None)
+        else:
+            sl, sp = (l[part], p[part]) if zero_dirs else lp
+            shells.append((sl, sp, k[part], garg[part], logmag[part], sign[part]))
+    return shells
 
 
 def _with_arg_logs(parts, slots):
@@ -426,6 +463,20 @@ def _univariate_coeffs(params: MLParams, lam: LambdaTriple, qmax: int):
     return garg - 1.0, logc, sign  # exponent of r, delta-1 folded in
 
 
+_TERM_BLOCK = 16
+
+
+def _rgamma_terms(first: float, step: float, n: int):
+    """(sign, log|1/Gamma(first + step k)|) as floats for k = 0..n-1.
+
+    Computed _TERM_BLOCK terms per ``signed_log_rgamma`` call, lazily, so a
+    single-index series that stops early computes at most one block more.
+    """
+    for k0 in range(0, n, _TERM_BLOCK):
+        signs, logs = signed_log_rgamma(first + step * np.arange(k0, min(k0 + _TERM_BLOCK, n)))
+        yield from zip(signs.tolist(), logs.tolist())
+
+
 def eval_prabhakar(
     alpha: float, delta: float, eta: float, s, ctrl: SeriesControl | None = None
 ) -> EvalResult:
@@ -441,17 +492,16 @@ def eval_prabhakar(
     zs, log_s, ph_s, sg_s = _arg_parts(s)
 
     def terms():
-        for k in range(ctrl.max_shell + 1):
+        for k, (rg_sign, rg_log) in enumerate(_rgamma_terms(delta, alpha, ctrl.max_shell + 1)):
             p_sign, p_log = log_pochhammer(eta, k)
             if p_sign == 0.0 or (zs and k > 0):
                 return
-            rg_sign, rg_log = signed_log_rgamma(np.array([k * alpha + delta]))
-            logmag = p_log + float(rg_log[0]) - math.lgamma(k + 1.0)
+            logmag = p_log + rg_log - math.lgamma(k + 1.0)
             if not zs:
                 logmag += k * log_s
             if logmag > _EXP_MAX:
                 raise SeriesOverflowError(f"term {k} exceeds the double range")
-            sign = p_sign * float(rg_sign[0]) * (sg_s if (k % 2 and sg_s < 0) else 1.0)
+            sign = p_sign * rg_sign * (sg_s if (k % 2 and sg_s < 0) else 1.0)
             if complex_in:
                 yield sign * math.exp(logmag) * complex(math.cos(k * ph_s), math.sin(k * ph_s))
             else:
@@ -479,7 +529,7 @@ def eval_fox_wright_1psi1(
     zs, log_s, ph_s, sg_s = _arg_parts(s)
 
     def terms():
-        for k in range(ctrl.max_shell + 1):
+        for k, (rg_sign, rg_log) in enumerate(_rgamma_terms(m0, b0, ctrl.max_shell + 1)):
             narg = l0 + a0 * k
             if narg <= 0.0 and narg == math.floor(narg):
                 raise DomainError(f"numerator gamma pole at term {k} (argument {narg})")
@@ -487,13 +537,12 @@ def eval_fox_wright_1psi1(
             n_log = math.lgamma(narg)
             if zs and k > 0:
                 return
-            rg_sign, rg_log = signed_log_rgamma(np.array([m0 + b0 * k]))
-            logmag = n_log + float(rg_log[0]) - math.lgamma(k + 1.0)
+            logmag = n_log + rg_log - math.lgamma(k + 1.0)
             if not zs:
                 logmag += k * log_s
             if logmag > _EXP_MAX:
                 raise SeriesOverflowError(f"term {k} exceeds the double range")
-            sign = n_sign * float(rg_sign[0]) * (sg_s if (k % 2 and sg_s < 0) else 1.0)
+            sign = n_sign * rg_sign * (sg_s if (k % 2 and sg_s < 0) else 1.0)
             if complex_in:
                 yield sign * math.exp(logmag) * complex(math.cos(k * ph_s), math.sin(k * ph_s))
             else:

@@ -371,6 +371,25 @@ class TestShellTable:
         vals, probe = eval_univariate_grid(self.P, lam, rs, CTRL)
         assert vals.tobytes() == cold_vals.tobytes() and _bits(probe) == _bits(cold_probe)
 
+    def test_blocks_keep_alive_only_stored_shells(self):
+        # a solve reads a few more shells at each larger r, and a budget sweep
+        # carries the table past the stored range; a stored shell must not be
+        # a slice that keeps the rest of its block alive
+        lam = LambdaTriple(-0.7, -0.4, -0.6)
+        for r in np.linspace(0.05, 6.0, 60):
+            eval_univariate(self.P, lam, float(r), CTRL)
+        for max_shell in range(1, series._TABLE_MAX_Q + 12, 3):
+            eval_trivariate(self.P, 0.7, -0.4, 1.1, SeriesControl(max_shell=max_shell))
+        for args in [lam.as_tuple(), (0.7, -0.4, 1.1)]:
+            (shells, _), = (v for k, v in series._shell_tables.items()
+                            if k[1] == tuple((False, a < 0.0) for a in args))
+            arrays = [a for shell in shells for a in shell]
+            alive = {id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}
+            stored = sum({id(a): a.nbytes for a in arrays}.values())
+            block = sum(a.nbytes for shell in shells[-series._SHELL_BLOCK:] for a in shell)
+            assert len(shells) > 2 * series._SHELL_BLOCK
+            assert sum(alive.values()) <= stored + block
+
     def test_bounded_number_of_tables(self):
         for i in range(3 * series._SHELL_TABLES):
             eval_trivariate(MLParams(0.9, 0.8, 0.7, 1.0 + 0.1 * i, 1.0), 0.5, 0.5, 0.5)
@@ -401,3 +420,98 @@ class TestShellTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert got == [serial] * n_threads
+
+
+def _shell_bytes(shells):
+    return [None if sh is None else tuple((a.dtype.str, a.tobytes()) for a in sh) for sh in shells]
+
+
+@pytest.mark.usefixtures("cold_tables")
+class TestBlockBuild:
+    """Shells and single-index denominators built a block at a time match,
+    bit for bit, the same code building one shell or one term per kernel call."""
+
+    SLOTS = {
+        "positive": (0.7, 0.4, 1.1),
+        "negative-parity": (-0.7, 0.4, -1.1),
+        "zero-slot": (-0.7, 0.0, 1.1),
+        "all-zero": (0.0, 0.0, 0.0),  # pruning empties every shell past q = 0
+        "complex": (0.3 + 0.4j, -0.2, 0.5 - 0.3j),
+    }
+
+    @staticmethod
+    def _unblocked(monkeypatch, fn):
+        with monkeypatch.context() as m:
+            m.setattr(series, "_SHELL_BLOCK", 1)
+            m.setattr(series, "_TERM_BLOCK", 1)
+            series._shell_tables.clear()
+            out = fn()
+        series._shell_tables.clear()
+        return out
+
+    @staticmethod
+    def _outcome(fn):
+        try:
+            return _bits(fn())
+        except (DomainError, SeriesOverflowError) as exc:
+            return type(exc).__name__, str(exc)
+
+    @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
+    @pytest.mark.parametrize("slots", list(SLOTS))
+    def test_shells_for_every_budget(self, monkeypatch, slots, eta):
+        # negative integer eta ends the series inside the first or second block
+        p = MLParams(0.9, 1.3, 0.5, -0.7, eta)
+        parts = tuple(series._arg_parts(z) for z in self.SLOTS[slots])
+        for qmax in range(2 * series._SHELL_BLOCK + 2):
+            want = self._unblocked(monkeypatch, lambda: _shell_bytes(series._shells(p, parts, qmax)))
+            for _ in range(3):  # cold, storing, then read from the table
+                assert _shell_bytes(series._shells(p, parts, qmax)) == want
+            series._shell_tables.clear()
+
+    @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
+    @pytest.mark.parametrize("slots", list(SLOTS))
+    def test_trivariate_values(self, monkeypatch, slots, eta):
+        # small arguments stop reading inside the first block, then budgets
+        # across two blocks read on; the table carried across these calls
+        # must give what a cold, unblocked build gives for each
+        p = MLParams(0.9, 1.3, 0.5, 1.2, eta)
+        calls = [(1e-3, 700)] * 2 + [(3.0, m) for m in range(1, 2 * series._SHELL_BLOCK + 2)] + [(3.0, 700)]
+
+        def outcomes(cold):
+            out = []
+            for scale, max_shell in calls:
+                if cold:
+                    series._shell_tables.clear()
+                args = [scale * z for z in self.SLOTS[slots]]
+                ctrl = SeriesControl(rel_tol=1e-13, max_shell=max_shell)
+                out.append(self._outcome(lambda: eval_trivariate(p, *args, ctrl)))
+            return out
+
+        assert outcomes(cold=False) == self._unblocked(monkeypatch, lambda: outcomes(cold=True))
+
+    @pytest.mark.parametrize("s", [0.0, 0.8, -2.5, 30.0, 1.5 - 2.0j, 720.0])
+    def test_single_index_engines(self, monkeypatch, s):
+        # at 720 the first Prabhakar series overflows on a single term and the
+        # last 1Psi1 series in its partial sum; each must raise at the same term
+        calls = [
+            lambda ctrl: eval_prabhakar(0.7, -0.4, 1.3, s, ctrl),
+            lambda ctrl: eval_prabhakar(1.0, 1.0, -9.0, s, ctrl),
+            lambda ctrl: eval_fox_wright_1psi1((0.3, 0.5), (-0.6, 0.9), s, ctrl),
+            lambda ctrl: eval_fox_wright_1psi1((1.0, 1.0), (1.0, 1.0), s, ctrl),
+        ]
+        budgets = [1, 15, 16, 17, 33, 3000]
+        for call in calls:
+            for max_shell in budgets:
+                run = lambda: self._outcome(lambda: call(SeriesControl(max_shell=max_shell)))
+                assert run() == self._unblocked(monkeypatch, run)
+
+    def test_numerator_pole_past_the_stopping_term(self, monkeypatch):
+        # Gamma(20 - k) has a pole at k = 20: a series that stops before it
+        # must not raise, one that reaches it raises at that term
+        quiet = eval_fox_wright_1psi1((20.0, -1.0), (1.0, 1.0), 0.1)
+        assert quiet.converged and quiet.shells_used < series._TERM_BLOCK
+        assert _bits(quiet) == self._unblocked(
+            monkeypatch, lambda: _bits(eval_fox_wright_1psi1((20.0, -1.0), (1.0, 1.0), 0.1)))
+        with pytest.raises(DomainError, match="at term 20 "):
+            eval_fox_wright_1psi1((20.0, -1.0), (1.0, 1.0), 1e4)
+
