@@ -79,7 +79,7 @@ def _ctrl(opts: dict) -> SeriesControl:
     if opts.get("tol") is not None:
         given["rel_tol"] = opts["tol"]
     if opts.get("max_shell") is not None:
-        given["max_shell"] = int(opts["max_shell"])
+        given["max_shell"] = opts["max_shell"]
     return SeriesControl(**given)
 
 
@@ -157,7 +157,7 @@ def cmd_solve(opts: dict) -> int:
         opts["alpha"], opts["beta"], opts["gamma"],
         opts["lambda1"], opts["lambda2"], opts["lambda3"], opts["y0"],
     )
-    n_points = int(opts["n_points"])
+    n_points = opts["n_points"]
     if n_points < 1 or not opts["t_max"] > 0.0:
         raise DomainError("need n_points >= 1 and t_max > 0")
     grid = np.linspace(0.0, opts["t_max"], n_points + 1)
@@ -175,7 +175,7 @@ def cmd_solve(opts: dict) -> int:
         all_ok = bool(np.all(np.isfinite(values)))
     else:
         nodes = opts.get("quad_nodes")
-        kw = {} if nodes is None else {"quad_nodes": int(nodes)}
+        kw = {} if nodes is None else {"quad_nodes": nodes}
         trace = solve(spec, g, grid, _ctrl(opts), **kw)
         values, errs = trace.values, trace.abs_err
         backend = "series"
@@ -201,10 +201,8 @@ def cmd_verify(opts: dict) -> int:
     return EXIT_OK if all(r.passed for r in results) else EXIT_VERIFY_FAIL
 
 
-def _float_list(text) -> list[float]:
-    if isinstance(text, (int, float)):
-        return [float(text)]
-    return [float(tok) for tok in str(text).split(",") if tok]
+def _float_list(text: str) -> list[float]:
+    return [float(tok) for tok in text.split(",") if tok]
 
 
 def cmd_table(opts: dict) -> int:
@@ -220,10 +218,8 @@ def cmd_table(opts: dict) -> int:
     _require(opts, ["alpha", "beta", "gamma", "delta", "eta", "t_max", "n_points"])
     alphas, betas, gammas = (_float_list(opts[k]) for k in ("alpha", "beta", "gamma"))
     deltas, etas = _float_list(opts["delta"]), _float_list(opts["eta"])
-    scale_u = 1.0 if opts.get("u") is None else float(opts["u"])
-    scale_v = 1.0 if opts.get("v") is None else float(opts["v"])
-    scale_w = 1.0 if opts.get("w") is None else float(opts["w"])
-    n_points = int(opts["n_points"])
+    scale_u, scale_v, scale_w = (1.0 if opts.get(k) is None else opts[k] for k in ("u", "v", "w"))
+    n_points = opts["n_points"]
     if n_points < 1 or not opts["t_max"] > 0.0 or min(map(len, (alphas, betas, gammas, deltas, etas))) < 1:
         raise DomainError("need nonempty sweep lists, n_points >= 1 and t_max > 0")
     rs = np.linspace(0.0, opts["t_max"], n_points + 1)
@@ -312,10 +308,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _merge_config(args: argparse.Namespace) -> dict:
+def _merge_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> dict:
+    """Options from the flags, with unset ones taken from the --config file.
+
+    Each config value goes through the same conversion as its flag's
+    command-line string.
+    """
     opts = {k: v for k, v in vars(args).items() if k != "command"}
     cfg_path = opts.pop("config", None)
     if cfg_path:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        convert = {a.dest: a.type or str for a in commands.choices[args.command]._actions}
         try:
             with open(cfg_path, "r", encoding="utf-8") as fh:
                 cfg = json.load(fh)
@@ -329,17 +332,22 @@ def _merge_config(args: argparse.Namespace) -> dict:
             key = key.replace("-", "_")
             if key not in opts:
                 raise DomainError(f"config option {key!r} is not recognized")
-            if opts[key] is None:
-                if key in ("u", "v", "w"):
-                    value = _parse_complex(str(value))
-                opts[key] = value
+            if opts[key] is not None or value is None:
+                continue  # explicit flags win; null leaves the option unset
+            if isinstance(value, (bool, list, dict)):
+                raise DomainError(f"config option {key!r} must be a string or a number, got {value!r}")
+            try:
+                opts[key] = convert[key](str(value))
+            except ValueError as exc:
+                raise DomainError(f"config option {key!r} has an invalid value {value!r}: {exc}")
     return opts
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
     try:
-        opts = _merge_config(args)
+        opts = _merge_config(parser, args)
         return _COMMANDS[args.command](opts)
     except (DomainError, ValueError, KeyError, SingularStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)

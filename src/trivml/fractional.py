@@ -74,7 +74,7 @@ def _scalar(res) -> float:
         raise SeriesNotConvergedError(
             f"series did not converge within the shell budget (used {res.shells_used})"
         )
-    return float(res.value.real) if isinstance(res.value, complex) else float(res.value)
+    return float(res.value)
 
 
 def nth_derivative_univariate(

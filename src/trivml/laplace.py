@@ -133,7 +133,7 @@ def convolution_closed_form(
     res = eval_univariate(merged, lam, r, ctrl)
     if not res.converged:
         raise SeriesNotConvergedError("merged series did not converge")
-    return float(res.value.real) if isinstance(res.value, complex) else float(res.value)
+    return float(res.value)
 
 
 def convolve_numeric(

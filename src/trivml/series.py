@@ -26,9 +26,8 @@ zero termwise through the reciprocal gamma).
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,7 +136,7 @@ def _logfact(n: int) -> np.ndarray:
     return _logfact_table
 
 
-# Shells q <= _TABLE_MAX_Q are cached, both their index arrays and, per
+# Shells q < _TABLE_MAX_Q are cached, both their index arrays and, per
 # parameter set, their argument-free parts (up to 5 MB per table); later
 # shells are rebuilt per call.
 _TABLE_MAX_Q = 96
@@ -152,7 +151,7 @@ def _shell_lp(q: int) -> tuple[np.ndarray, np.ndarray]:
     l = np.repeat(np.arange(q + 1), counts)
     offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
     p = np.arange(l.size) - np.repeat(offsets, counts)
-    if q <= _TABLE_MAX_Q:
+    if q < _TABLE_MAX_Q:
         _shell_cache[q] = (l, p)
     return l, p
 
@@ -170,17 +169,20 @@ def _arg_parts(z):
     return False, math.log(abs(x)), 0.0, (1.0 if x > 0.0 else -1.0)
 
 
-# Argument-free shell tables, one per (params, slot pattern): at most
-# _SHELL_TABLES of them, least recently used evicted first.  A table is an
-# immutable (shells, terminated) pair replaced whole, under the lock, when it
-# grows.  A key seen for the first time gets an empty table, and its shells are
-# stored from the second call on, so parameters used once retain nothing.
-# Shells missing from a table are built _SHELL_BLOCK at a time, and a table
-# grows by whole blocks.
+# Argument-free shell tables, one per (params, slot pattern), at most
+# _SHELL_TABLES of them, least recently used evicted first.  A table maps the
+# first shell of each stored block to the block; blocks start at multiples of
+# _SHELL_BLOCK, so the stored range q < _TABLE_MAX_Q is whole blocks.  A key
+# seen for the first time stores nothing, and its blocks are stored from the
+# second call on, so parameters used once retain nothing.  Threads missing the
+# same block may both build it; the first one stored is kept.
 _SHELL_TABLES = 4
 _SHELL_BLOCK = 8
-_shell_tables: OrderedDict[tuple, tuple[tuple, bool]] = OrderedDict()
-_shell_tables_lock = threading.Lock()
+
+
+@functools.lru_cache(maxsize=_SHELL_TABLES)
+def _table(params: MLParams, pattern: tuple) -> dict:
+    return {}
 
 
 def _shells(params: MLParams, slots, qmax: int):
@@ -191,61 +193,42 @@ def _shells(params: MLParams, slots, qmax: int):
     index that would raise it to a positive power, and a shell that pruning
     empties comes out as None.  ``logmag`` is log|(eta)_q / (Gamma(garg)
     l! p! k!)| and ``sign`` includes (-1)^n for every negative slot; callers
-    add n log|z| per slot.  Stops early once (eta)_q vanishes, since every
-    later shell is then identically zero.  Shells come from the table for
-    (params, pattern); the rest are built by :func:`_shell_block`, so up to
-    ``_SHELL_BLOCK - 1`` shells past the last one read.  If the key was seen
-    before, the blocks built here are stored when the generator ends, unless
-    another caller stored a table at least as long.
+    add n log|z| per slot.  Stops early once (eta)_q vanishes, at q = 1 - eta
+    for a non-positive integer eta, since every later shell is then
+    identically zero.  Blocks missing from the table for (params, pattern) are
+    built by :func:`_shell_block`, so up to ``_SHELL_BLOCK - 1`` shells past
+    the last one read.
     """
     pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
-    key = (params, pattern)
-    with _shell_tables_lock:
-        entry = _shell_tables.pop(key, None)
-        _shell_tables[key] = entry or ((), False)
-        if len(_shell_tables) > _SHELL_TABLES:
-            _shell_tables.popitem(last=False)
-    table, terminated = entry or ((), False)
-    yield from table[: qmax + 1]
-    if terminated or len(table) > qmax:
-        return
-    store = entry is not None
-    poch = log_pochhammer_table(params.eta, qmax + 1)
-    logfact = _logfact(qmax + 1)
-    vanish = np.flatnonzero(poch[0][: qmax + 1] == 0.0)
-    qend = int(vanish[0]) if vanish.size else qmax + 1
-    built = []
-    try:
-        q0 = len(table)
-        while q0 < qend:
-            q1 = min(q0 + _SHELL_BLOCK, qend)
-            if q0 <= _TABLE_MAX_Q:
-                # no block straddles the stored range, so a stored shell keeps
-                # alive only arrays whose every element the table holds
-                q1 = min(q1, _TABLE_MAX_Q + 1)
-            block = _shell_block(params, pattern, poch, logfact, q0, q1)
-            if store and q0 <= _TABLE_MAX_Q:
-                built += block
-            yield from block
-            q0 = q1
-    finally:
-        # (eta)_q vanishes from qend on, so a table holding every shell before it is complete
-        terminated = qend <= qmax and len(table) + len(built) == qend
-        with _shell_tables_lock:
-            stored = _shell_tables.get(key)
-            if stored and (len(table) + len(built), terminated) > (len(stored[0]), stored[1]):
-                _shell_tables[key] = (table + tuple(built), terminated)
+    table = _table(params, pattern)
+    store = "seen" in table
+    table["seen"] = True
+    qend = qmax + 1
+    if params.eta <= 0.0 and params.eta == math.floor(params.eta):
+        qend = min(qend, 1 - int(params.eta))
+    poch = None
+    for q0 in range(0, qend, _SHELL_BLOCK):
+        block = table.get(q0)
+        if block is None:
+            if poch is None:
+                poch = log_pochhammer_table(params.eta, qmax + _SHELL_BLOCK)
+            block = _shell_block(params, pattern, poch, q0)
+            if store and q0 < _TABLE_MAX_Q:
+                block = table.setdefault(q0, block)
+        yield from block[: qend - q0]
 
 
-def _shell_block(params: MLParams, pattern, poch, logfact, q0: int, q1: int) -> list:
-    """Shells q0..q1-1 of :func:`_shells`, built in one pass.
+def _shell_block(params: MLParams, pattern, poch, q0: int) -> list:
+    """Shells q0..q0+_SHELL_BLOCK-1 of :func:`_shells`, built in one pass.
 
     The block's index arrays are concatenated, so one ``signed_log_rgamma``
     call and one elementwise pass cover every term; each shell is then a view
     of the block's arrays.  Without a zero slot, a shell's (l, p) are the
     shared :func:`_shell_lp` arrays.
     """
+    q1 = q0 + _SHELL_BLOCK
     poch_signs, poch_logs = poch
+    logfact = _logfact(q1)
     lps = [_shell_lp(q) for q in range(q0, q1)]
     sizes = [l.size for l, _ in lps]
     qs = np.repeat(np.arange(q0, q1), sizes)

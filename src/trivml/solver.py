@@ -168,7 +168,7 @@ def solve_homogeneous(spec: IVPSpec, r: float, ctrl: SeriesControl | None = None
         raise SeriesNotConvergedError(
             f"homogeneous series did not converge at r={r} within the shell budget"
         )
-    return float(res.value.real) if isinstance(res.value, complex) else float(res.value)
+    return float(res.value)
 
 
 def solve_homogeneous_fox_wright(
@@ -291,7 +291,7 @@ def solve(
     for i, r in enumerate(grid):
         try:
             res = _homog_result(spec, float(r), ctrl)
-            val = res.value.real if isinstance(res.value, complex) else res.value
+            val = res.value
             ok = res.converged
             if g is not None and r > 0.0 and ok:
                 val += particular_solution(spec, g, float(r), quad_nodes, ctrl)

@@ -309,3 +309,29 @@ class TestConfig:
         cfg.write_text(json.dumps({"frobnicate": 1}))
         code, _, err = run_cli(capsys, "eval", "--config", str(cfg))
         assert code == 2
+
+    TABLE = ["table", "--alpha", "0.9", "--beta", "1.1", "--gamma", "0.7", "--delta", "1",
+             "--eta", "1", "--t-max", "1", "--n-points", "2"]
+
+    def test_config_values_convert_like_their_flags(self, capsys, tmp_path):
+        # a JSON number for a table scale and a JSON string for a float flag
+        # give what the same text on the command line gives
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"u": 2, "w": "0.5"}))
+        code, out, _ = run_cli(capsys, *self.TABLE, "--config", str(cfg))
+        assert code == 0
+        assert out == run_cli(capsys, *self.TABLE, "--u", "2", "--w", "0.5")[1]
+        cfg.write_text(json.dumps({"r": "0.5"}))
+        univ = ["eval-univariate", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
+                "--eta", "1", "--lambda1", "1", "--lambda2", "0", "--lambda3", "0"]
+        code, out, _ = run_cli(capsys, *univ, "--config", str(cfg))
+        assert code == 0
+        assert out == run_cli(capsys, *univ, "--r", "0.5")[1]
+
+    @pytest.mark.parametrize("values", [{"r": "half"}, {"r": [0.5]}, {"out": True}, {"max_shell": 2.5}])
+    def test_config_value_rejected_like_its_flag(self, capsys, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        code, _, err = run_cli(capsys, "eval-univariate", "--config", str(cfg))
+        assert code == 2
+        assert err.startswith("error: config option")

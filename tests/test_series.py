@@ -294,9 +294,16 @@ def _bits(res: EvalResult):
 @pytest.fixture
 def cold_tables():
     """Empty the shell tables before and after the test."""
-    series._shell_tables.clear()
+    series._table.cache_clear()
     yield
-    series._shell_tables.clear()
+    series._table.cache_clear()
+
+
+def _stored_blocks(params, args) -> dict:
+    """The blocks stored for params and the slot pattern of args, by first shell."""
+    slots = [series._arg_parts(z) for z in args]
+    table = series._table(params, tuple((s[0], s[3] < 0.0) for s in slots))
+    return {q0: block for q0, block in table.items() if isinstance(q0, int)}
 
 
 @pytest.mark.usefixtures("cold_tables")
@@ -304,7 +311,7 @@ class TestShellTable:
     P = MLParams(0.9, 1.3, 0.5, 1.2, 1.4)
 
     def _cold(self, fn):
-        series._shell_tables.clear()
+        series._table.cache_clear()
         return fn()
 
     def test_warm_matches_cold_across_slot_patterns(self):
@@ -319,7 +326,7 @@ class TestShellTable:
         readers = [reader for _, reader in pairs]
         cold = [self._cold(lambda: _bits(eval_trivariate(self.P, *a, CTRL))) for a in readers]
         for filler, _ in pairs:
-            series._shell_tables.clear()
+            series._table.cache_clear()
             for _ in range(2):
                 eval_trivariate(self.P, *filler, CTRL)
             assert [_bits(eval_trivariate(self.P, *a, CTRL)) for a in readers] == cold
@@ -332,14 +339,15 @@ class TestShellTable:
 
     def test_params_used_once_retain_no_shells(self):
         eval_trivariate(self.P, 0.7, 0.4, 1.1, CTRL)
-        assert [len(shells) for shells, _ in series._shell_tables.values()] == [0]
+        assert series._table.cache_info().currsize == 1
+        assert not _stored_blocks(self.P, (0.7, 0.4, 1.1))
         eval_trivariate(self.P, 0.2, 0.3, 0.1, CTRL)
-        assert [len(shells) for shells, _ in series._shell_tables.values()] > [0]
+        assert _stored_blocks(self.P, (0.7, 0.4, 1.1))
 
     def test_larger_max_shell_extends_the_table(self):
         cold = self._cold(lambda: _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)))
-        series._shell_tables.clear()
-        for _ in range(2):  # the second call stores the six shells
+        series._table.cache_clear()
+        for _ in range(2):  # the second call stores the first block
             short = eval_trivariate(self.P, 2.5, -1.5, 2.0, SeriesControl(max_shell=5))
         assert not short.converged
         assert _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)) == cold
@@ -349,20 +357,45 @@ class TestShellTable:
         p = MLParams(1, 1, 1, 1, 1)
         cold = self._cold(lambda: _bits(eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)))
         assert cold[2] > series._TABLE_MAX_Q + 1
-        assert _bits(eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)) == cold
-        (shells, _), = series._shell_tables.values()
-        assert len(shells) == series._TABLE_MAX_Q + 1
+        for _ in range(2):  # the first call stores the table, the second reads it
+            assert _bits(eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)) == cold
+        assert sorted(_stored_blocks(p, (60.0, 0.0, 0.0))) == list(range(0, series._TABLE_MAX_Q, series._SHELL_BLOCK))
+        assert series._TABLE_MAX_Q % series._SHELL_BLOCK == 0  # the stored range ends at q = 95
 
     def test_terminating_eta(self):
-        p = MLParams(0.9, 0.7, 0.5, 1.1, -3.0)
+        # (-11)_q vanishes from q = 12 on, inside the second block
+        p = MLParams(0.9, 0.7, 0.5, 1.1, -11.0)
         cold = self._cold(lambda: _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)))
-        series._shell_tables.clear()
+        assert cold[2] == 13
+        series._table.cache_clear()
         for _ in range(2):
             eval_trivariate(p, 0.8, -0.6, 0.4, SeriesControl(max_shell=2))
+        assert sorted(_stored_blocks(p, (0.8, -0.6, 0.4))) == [0]
         for _ in range(2):  # the first call completes the table, the second reads it
             assert _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)) == cold
-        (shells, terminated), = series._shell_tables.values()
-        assert terminated and len(shells) == cold[2] - 1
+        assert sorted(_stored_blocks(p, (0.8, -0.6, 0.4))) == [0, series._SHELL_BLOCK]
+
+    def test_third_call_builds_no_stored_block(self, monkeypatch):
+        # the first call stores nothing, the second stores what it builds
+        # below the stored range, the third builds only the shells past it
+        real = series._shell_block
+        built = []
+
+        def counting(params, pattern, poch, q0):
+            built.append(q0)
+            return real(params, pattern, poch, q0)
+
+        monkeypatch.setattr(series, "_shell_block", counting)
+        p = MLParams(1, 1, 1, 1, 1)
+        calls = []
+        for _ in range(3):
+            built.clear()
+            eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)
+            calls.append(list(built))
+        first, second, third = calls
+        assert first == second == list(range(0, first[-1] + 1, series._SHELL_BLOCK))
+        assert first[-1] >= series._TABLE_MAX_Q
+        assert third == [q0 for q0 in first if q0 >= series._TABLE_MAX_Q]
 
     def test_univariate_grid_warm_matches_cold(self):
         lam = LambdaTriple(-0.6, 0.0, 0.3)
@@ -373,33 +406,33 @@ class TestShellTable:
 
     def test_blocks_keep_alive_only_stored_shells(self):
         # a solve reads a few more shells at each larger r, and a budget sweep
-        # carries the table past the stored range; a stored shell must not be
-        # a slice that keeps the rest of its block alive
+        # carries the table past the stored range; every shell of a stored
+        # block is a view of that block's arrays, which its shells cover
         lam = LambdaTriple(-0.7, -0.4, -0.6)
         for r in np.linspace(0.05, 6.0, 60):
             eval_univariate(self.P, lam, float(r), CTRL)
         for max_shell in range(1, series._TABLE_MAX_Q + 12, 3):
             eval_trivariate(self.P, 0.7, -0.4, 1.1, SeriesControl(max_shell=max_shell))
         for args in [lam.as_tuple(), (0.7, -0.4, 1.1)]:
-            (shells, _), = (v for k, v in series._shell_tables.items()
-                            if k[1] == tuple((False, a < 0.0) for a in args))
-            arrays = [a for shell in shells for a in shell]
-            alive = {id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}
-            stored = sum({id(a): a.nbytes for a in arrays}.values())
-            block = sum(a.nbytes for shell in shells[-series._SHELL_BLOCK:] for a in shell)
-            assert len(shells) > 2 * series._SHELL_BLOCK
-            assert sum(alive.values()) <= stored + block
+            blocks = _stored_blocks(self.P, args).values()
+            assert len(blocks) > 2
+            for block in blocks:
+                arrays = [a for shell in block for a in shell]
+                alive = {id(b): b.nbytes for b in (a if a.base is None else a.base for a in arrays)}
+                stored = {id(a): a.nbytes for a in arrays if a.base is None}
+                stored_views = sum(a.nbytes for a in arrays if a.base is not None)
+                assert sum(alive.values()) == sum(stored.values()) + stored_views
 
     def test_bounded_number_of_tables(self):
         for i in range(3 * series._SHELL_TABLES):
             eval_trivariate(MLParams(0.9, 0.8, 0.7, 1.0 + 0.1 * i, 1.0), 0.5, 0.5, 0.5)
-            assert len(series._shell_tables) <= series._SHELL_TABLES
+            assert series._table.cache_info().currsize <= series._SHELL_TABLES
 
     def test_threads_share_a_table(self):
         # more threads than cores, switching often, all growing one table
         args = [(0.1 * i, -0.05 * i, 0.02 * i + 0.3j) for i in range(1, 25)]
         serial = [self._cold(lambda: _bits(eval_trivariate(self.P, *a, CTRL))) for a in args]
-        series._shell_tables.clear()
+        series._table.cache_clear()
         n_threads = 4
         barrier = threading.Barrier(n_threads)
         got = [None] * n_threads
@@ -444,9 +477,9 @@ class TestBlockBuild:
         with monkeypatch.context() as m:
             m.setattr(series, "_SHELL_BLOCK", 1)
             m.setattr(series, "_TERM_BLOCK", 1)
-            series._shell_tables.clear()
+            series._table.cache_clear()
             out = fn()
-        series._shell_tables.clear()
+        series._table.cache_clear()
         return out
 
     @staticmethod
@@ -466,7 +499,7 @@ class TestBlockBuild:
             want = self._unblocked(monkeypatch, lambda: _shell_bytes(series._shells(p, parts, qmax)))
             for _ in range(3):  # cold, storing, then read from the table
                 assert _shell_bytes(series._shells(p, parts, qmax)) == want
-            series._shell_tables.clear()
+            series._table.cache_clear()
 
     @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
     @pytest.mark.parametrize("slots", list(SLOTS))
@@ -481,7 +514,7 @@ class TestBlockBuild:
             out = []
             for scale, max_shell in calls:
                 if cold:
-                    series._shell_tables.clear()
+                    series._table.cache_clear()
                 args = [scale * z for z in self.SLOTS[slots]]
                 ctrl = SeriesControl(rel_tol=1e-13, max_shell=max_shell)
                 out.append(self._outcome(lambda: eval_trivariate(p, *args, ctrl)))
