@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 import uuid
 
@@ -261,8 +262,20 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser that reads an argument starting like a negative number
+    (``-3,1``, ``-1e-3``, ``-.5``) as a value, so ``--eta -3,1`` works like
+    ``--eta=-3,1``; argparse's own rule takes only forms like ``-3`` and
+    ``-0.5``.  No trivml flag starts with a digit, so no flag is shadowed.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="trivml", description=__doc__)
+    top = _Parser(prog="trivml", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
     def add_common(p):

@@ -262,10 +262,12 @@ def _shell_block(params: MLParams, pattern, poch, q0: int) -> list:
     return shells
 
 
-def _with_arg_logs(parts, slots):
-    """Shell log|term| array: the argument-free logmag plus n log|z| per nonzero slot."""
-    l, p, k, _, logmag, _ = parts
-    for n, (is_zero, log_z, _, _) in zip((l, p, k), slots):
+def _with_arg_logs(idx, logmag, slots):
+    """log|term| array: the argument-free logmag plus n log|z| per nonzero slot.
+
+    ``idx`` holds the (l, p, k) index arrays of the terms.
+    """
+    for n, (is_zero, log_z, _, _) in zip(idx, slots):
         if not is_zero:
             logmag = logmag + n * log_z
     return logmag
@@ -340,7 +342,7 @@ def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None
                 yield 0.0
                 continue
             l, p, k, _, _, sign = parts
-            logmag = _with_arg_logs(parts, slots)
+            logmag = _with_arg_logs(parts[:3], parts[4], slots)
             with np.errstate(over="ignore", invalid="ignore"):
                 if complex_in:
                     phase = l * slots[0][2] + p * slots[1][2] + k * slots[2][2]
@@ -387,6 +389,12 @@ def eval_univariate(
     return EvalResult(res.value * scale, res.abs_error_estimate * scale, res.shells_used, res.converged)
 
 
+# Index values of the loop direction per stacked matrix product: few enough
+# Python iterations for small grids, while the part of a block past the
+# simplex, computed as zeros, stays small for large ones.
+_GRID_BLOCK = 8
+
+
 def eval_univariate_grid(
     params: MLParams,
     lam: LambdaTriple,
@@ -395,10 +403,20 @@ def eval_univariate_grid(
 ) -> tuple[np.ndarray, EvalResult]:
     """Vectorized univariate form over a batch of nonnegative abscissae.
 
-    The shell budget is fixed by an adaptive evaluation at max(rs) (where the
-    truncation tail is largest); the frozen coefficient table is then powered
-    against all points at once.  Returns the values plus the diagnostic
-    result at max(rs).
+    The shell budget is fixed by an adaptive evaluation at rmax = max(rs)
+    (where the truncation tail is largest).  Each term is then scaled from its
+    value at rmax: with x = r / rmax and c_lpk the term of E at rmax,
+
+        value(r) = r^(delta-1) sum_{l,p,k} c_lpk x^(l alpha) x^(p beta) x^(k gamma).
+
+    The powers come from one table per index direction, x^(n alpha) for n up
+    to the largest l and so on; every entry is at most 1, so none overflows.
+    The sum loops over the direction with the fewest index values (a single
+    pass when a lambda is zero) and, for each value, contracts the other two
+    with one small matrix product and a row-wise dot, _GRID_BLOCK values per
+    stacked product.  That is (sum of the three index extents) exps per point
+    instead of one per term.  Returns the values plus the diagnostic result
+    at rmax.
     """
     ctrl = ctrl or SeriesControl()
     rs = np.asarray(rs, dtype=float)
@@ -416,34 +434,38 @@ def eval_univariate_grid(
     probe = eval_univariate(params, lam, rmax, ctrl)
     qmax = max(probe.shells_used - 1, 0)
 
-    exps, logc, signs = _univariate_coeffs(params, lam, qmax)
-    logr = np.log(rs[live])
-    # value(r) = sum_j signs_j exp(logc_j + exps_j * log r)
+    # the probe's arguments, so the probe's shell table serves again
+    indices = (params.alpha, params.beta, params.gamma)
+    slots = tuple(_arg_parts(x * rmax**e) for x, e in zip(lam.as_tuple(), indices))
+    shells = list(_shells(params, slots, qmax))
+    cols = list(zip(*filter(None, shells)))
+    idx = tuple(np.concatenate(cols[c]) for c in range(3))
+    with np.errstate(over="ignore"):
+        coeffs = np.concatenate(cols[5]) * np.exp(_with_arg_logs(idx, np.concatenate(cols[4]), slots))
+    # an index direction runs over every shell unless its lambda is zero
+    extents = [1 if slot[0] else len(shells) for slot in slots]
+    r = rs[live]
+    logx = np.log(r / rmax)
+    powers = [np.exp(np.outer(np.arange(n) * e, logx)) for n, e in zip(extents, indices)]
+
+    # loop over direction d; j, the longer of the other two, goes through BLAS
+    d = extents.index(min(extents))
+    i, j = sorted((n for n in range(3) if n != d), key=extents.__getitem__)
+    flat = (idx[d] * extents[i] + idx[i]) * extents[j] + idx[j]
+    dense = np.bincount(flat, coeffs, extents[d] * extents[i] * extents[j])
+    dense = dense.reshape(extents[d], extents[i], extents[j])
+    parts = np.empty((extents[d], r.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        mat = np.exp(logc[:, None] + exps[:, None] * logr[None, :])
-    vals = signs @ mat if signs.ndim == 1 else (signs * mat).sum(axis=0)
+        for m in range(0, extents[d], _GRID_BLOCK):
+            # a term with d-index >= m has i- and j-indices <= len(shells) - 1 - m
+            a, b = (min(extents[n], len(shells) - m) for n in (i, j))
+            prod = dense[m : m + _GRID_BLOCK, :a, :b] @ powers[j][:b]
+            np.einsum("mij,ij->mj", prod, powers[i][:a], out=parts[m : m + _GRID_BLOCK])
+        vals = np.einsum("mj,mj->j", parts, powers[d]) * r ** (params.delta - 1.0)
     if not np.all(np.isfinite(vals)):
         raise SeriesOverflowError("univariate grid evaluation exceeds the double range")
     out[live] = vals
     return out, probe
-
-
-def _univariate_coeffs(params: MLParams, lam: LambdaTriple, qmax: int):
-    """Exponents e, log|c| and signs of the univariate power series
-
-    r^(delta-1) E(...) = sum_j c_j r^(e_j),  truncated at shell qmax.
-    Index directions with a zero lambda are pruned.
-    """
-    slots = tuple(_arg_parts(x) for x in lam.as_tuple())
-    coeffs = [
-        (parts[3], _with_arg_logs(parts, slots), parts[5])
-        for parts in _shells(params, slots, qmax)
-        if parts is not None
-    ]
-    if not coeffs:
-        return np.zeros(1), np.full(1, -np.inf), np.zeros(1)
-    garg, logc, sign = (np.concatenate(col) for col in zip(*coeffs))
-    return garg - 1.0, logc, sign  # exponent of r, delta-1 folded in
 
 
 _TERM_BLOCK = 16

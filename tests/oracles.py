@@ -22,8 +22,12 @@ def _rgamma_signed(x: float) -> float:
     return s * math.exp(math.lgamma(1.0 - x)) / math.pi
 
 
-def brute_trivariate(alpha, beta, gamma, delta, eta, u, v, w, qmax=260, tol=1e-15):
-    """Fixed-order brute-force triple loop over simplex shells."""
+def brute_trivariate(alpha, beta, gamma, delta, eta, u, v, w, qmax=260, tol=1e-15, absolute=False):
+    """Fixed-order brute-force triple loop over simplex shells.
+
+    With ``absolute`` it sums |term| instead, the scale of the rounding error
+    of any float evaluation of the series.
+    """
     total = 0.0 + 0.0j
     lp_sign, lp_log = 1.0, 0.0  # (eta)_q tracked incrementally
     quiet = 0
@@ -44,7 +48,8 @@ def brute_trivariate(alpha, beta, gamma, delta, eta, u, v, w, qmax=260, tol=1e-1
                 coeff = lp_sign * rg * math.exp(
                     lp_log - math.lgamma(l + 1.0) - math.lgamma(p + 1.0) - math.lgamma(k + 1.0)
                 )
-                shell += coeff * (u**l) * (v**p) * (w**k)
+                term = coeff * (u**l) * (v**p) * (w**k)
+                shell += abs(term) if absolute else term
         total += shell
         if abs(shell) <= tol * max(abs(total), 1.0):
             quiet += 1
@@ -108,9 +113,10 @@ def brute_prabhakar(alpha, delta, eta, s, kmax=400, tol=1e-16):
     return total
 
 
-def brute_univariate(alpha, beta, gamma, delta, eta, l1, l2, l3, r, qmax=260):
+def brute_univariate(alpha, beta, gamma, delta, eta, l1, l2, l3, r, qmax=260, absolute=False):
     val = brute_trivariate(
-        alpha, beta, gamma, delta, eta, l1 * r**alpha, l2 * r**beta, l3 * r**gamma, qmax
+        alpha, beta, gamma, delta, eta, l1 * r**alpha, l2 * r**beta, l3 * r**gamma, qmax,
+        absolute=absolute,
     )
     return r ** (delta - 1.0) * val.real
 

@@ -273,6 +273,21 @@ class TestTable:
         biv = {row[6]: row[7] for row in rows if row[0] == "bivariate"}
         assert triv == biv  # identical printed columns
 
+    @pytest.mark.parametrize("flag", ["alpha", "beta", "gamma", "delta", "eta"])
+    def test_negative_comma_list_as_separate_argument(self, capsys, flag):
+        # "--eta -3,1" must read -3,1 as the flag's value, as "--eta=-3,1" does
+        sweep = {"alpha": "0.9", "beta": "1.1", "gamma": "0.7", "delta": "1.2", "eta": "1"}
+        rest = [a for name, value in sweep.items() if name != flag for a in (f"--{name}", value)]
+        rest += ["--t-max", "0.5", "--n-points", "1"]
+        code, out, err = run_cli(capsys, "table", f"--{flag}", "-3,1", *rest)
+        assert (code, out, err) == run_cli(capsys, "table", f"--{flag}=-3,1", *rest)
+        if flag in ("alpha", "beta", "gamma"):
+            assert code == 2 and "must be strictly positive" in err  # a value, not a missing one
+        else:
+            assert code == 0
+            _, rows = parse_csv(out)
+            assert {float(row[list(sweep).index(flag) + 1]) for row in rows} == {-3.0, 1.0}
+
     def test_bad_ranges_exit_2(self, capsys):
         code, _, _ = run_cli(
             capsys, "table", "--alpha", "abc", "--beta", "1", "--gamma", "1",

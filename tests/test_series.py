@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import tame_lambdas, tame_params
-from oracles import brute_bivariate, brute_prabhakar, brute_trivariate
+from oracles import brute_bivariate, brute_prabhakar, brute_trivariate, brute_univariate
 
 from trivml import series
 from trivml.errors import DomainError, SeriesOverflowError
+from trivml.quadrature import jacobi_01
 from trivml.series import (
     EvalResult,
     LambdaTriple,
@@ -204,6 +205,50 @@ class TestUnivariate:
         for r, gv in zip(rs, grid_vals):
             assert gv == pytest.approx(eval_univariate(p, lam, float(r), CTRL).value,
                                        rel=1e-12)
+
+
+# (params, lambdas, abscissae) covering the slot patterns and grid shapes of
+# the grid path; grids from 0 take the r = 0 rule (delta >= 1)
+_GRID_CASES = {
+    "all-nonzero": (MLParams(0.9, 0.7, 1.2, 1.4, 1.3), (0.7, -0.5, 0.6), np.linspace(0.0, 1.5, 13)),
+    "one-zero": (MLParams(0.8, 1.1, 0.6, 1.0, 0.9), (0.7, 0.0, -0.6), np.linspace(0.0, 1.5, 13)),
+    "two-zero": (MLParams(0.6, 0.9, 1.3, 2.1, 1.7), (0.0, -1.2, 0.0), np.linspace(0.0, 2.0, 13)),
+    "all-negative": (MLParams(1.1, 0.8, 0.5, 1.6, 0.7), (-0.9, -0.7, -1.1), np.linspace(0.0, 1.5, 13)),
+    "delta-below-one": (MLParams(0.7, 1.0, 0.9, 0.6, 1.2), (0.5, 0.4, -0.8), np.linspace(0.05, 1.5, 13)),
+    "terminating-eta": (MLParams(0.9, 0.6, 1.1, 1.3, -3.0), (1.5, -2.0, 0.8), np.linspace(0.0, 2.0, 13)),
+    "jacobi-nodes": (MLParams(1.2, 0.5, 0.8, 1.2, 1.5), (-1.3, 0.9, 0.4), 1.8 * jacobi_01(16, 0.4, -0.3)[0]),
+}
+
+
+class TestUnivariateGrid:
+    @pytest.mark.parametrize("case", list(_GRID_CASES))
+    def test_matches_brute_oracle(self, case):
+        # Each term passes, on either side, through an exp whose argument (a
+        # sum of logs) reaches a few tens in size here, so its relative error
+        # is up to a few tens of eps (measured: at most 3.4 eps sum|terms| on
+        # these grids).  64 eps sum|terms| covers both sides; a wrong term or
+        # power is off by far more.  The tight rel_tol keeps the truncation
+        # far below that.
+        p, lam, rs = _GRID_CASES[case]
+        ctrl = SeriesControl(rel_tol=1e-16, max_shell=700)
+        vals, probe = eval_univariate_grid(p, LambdaTriple(*lam), rs, ctrl)
+        assert probe.converged
+        eps = np.finfo(float).eps
+        for r, val in zip(rs, vals):
+            args = (p.alpha, p.beta, p.gamma, p.delta, p.eta, *lam, float(r))
+            scale = brute_univariate(*args, absolute=True)
+            assert abs(val - brute_univariate(*args)) <= 64 * eps * scale, f"r={r}"
+
+    def test_probe_overflow_raises(self):
+        # the terms at rmax leave the double range
+        with pytest.raises(SeriesOverflowError):
+            eval_univariate_grid(MLParams(1, 1, 1, 1, 1), LambdaTriple(800, 0, 0), np.linspace(0, 1, 5), CTRL)
+
+    def test_small_abscissa_overflow_raises(self):
+        # the probe at rmax = 1 is finite, but r^(delta-1) at r = 1e-300 is not
+        rs = np.array([1e-300, 0.5, 1.0])
+        with pytest.raises(SeriesOverflowError):
+            eval_univariate_grid(MLParams(0.9, 0.7, 0.5, -0.5, 1), LambdaTriple(0.5, -0.4, 0.3), rs, CTRL)
 
 
 class TestPrabhakar:
