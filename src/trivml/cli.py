@@ -362,7 +362,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         opts = _merge_config(parser, args)
         return _COMMANDS[args.command](opts)
-    except (DomainError, ValueError, KeyError, SingularStepError) as exc:
+    except KeyError as exc:
+        # str(KeyError) is the repr of its argument; print the message itself
+        print(f"error: {exc.args[0] if exc.args else exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except (DomainError, ValueError, SingularStepError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (SeriesNotConvergedError, SeriesOverflowError, TalbotDivergenceError, QuadratureError) as exc:

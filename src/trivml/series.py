@@ -100,8 +100,8 @@ class SeriesControl:
     consecutive_quiet_shells: int = 3
 
     def __post_init__(self):
-        if not self.rel_tol > 0.0:
-            raise DomainError("rel_tol must be positive")
+        if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
+            raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_shell < 1:
             raise DomainError("max_shell must be >= 1")
         if self.consecutive_quiet_shells < 1:

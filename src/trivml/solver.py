@@ -155,6 +155,24 @@ def _homog_result(spec: IVPSpec, r: float, ctrl: SeriesControl | None) -> EvalRe
     return EvalResult(value, res.abs_error_estimate * scale, res.shells_used, res.converged)
 
 
+def _homog_grid(spec: IVPSpec, grid: np.ndarray, ctrl: SeriesControl | None) -> np.ndarray:
+    """The homogeneous closed form of :func:`solve_homogeneous` over a whole grid.
+
+    One :func:`eval_univariate_grid` call on the kernel with delta = alpha + 1
+    replaces a series evaluation per point; its kernel vanishes at r = 0, so
+    r = 0 gives exactly y0.  Raises :class:`SeriesNotConvergedError` when the
+    probe at max(grid) misses the shell budget (every smaller r needs fewer
+    shells); :class:`SeriesOverflowError` propagates.
+    """
+    params = ml_params_for(spec, spec.alpha + 1.0)
+    kernel, probe = eval_univariate_grid(params, spec.lam, grid, ctrl)
+    if not probe.converged:
+        raise SeriesNotConvergedError(
+            f"homogeneous series did not converge at r={float(np.max(grid))} within the shell budget"
+        )
+    return (1.0 + spec.lambda1 * kernel) * spec.y0
+
+
 def solve_homogeneous(spec: IVPSpec, r: float, ctrl: SeriesControl | None = None) -> float:
     """Closed-form solution of the homogeneous problem at r >= 0:
 

@@ -17,6 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .contour import ContourSpec, eval_hankel_contour
+from .errors import DomainError
 from .fractional import (
     FracOrder,
     GridFunction,
@@ -30,6 +31,7 @@ from .series import LambdaTriple, MLParams, SeriesControl, eval_prabhakar, eval_
 from .solver import (
     IVPSpec,
     SolutionTrace,
+    _homog_grid,
     numeric_oracle_solve,
     residual_check,
     solve,
@@ -41,6 +43,8 @@ from .solver import (
 __all__ = ["CheckResult", "all_check_names", "run_checks"]
 
 _CTRL = SeriesControl(rel_tol=1e-13, max_shell=600)
+# a decaying three-order problem shared by the residual and oracle studies
+_DAMPED = IVPSpec(0.9, 0.5, 0.3, -0.7, -0.4, -0.6, 1.5)
 
 
 @dataclass
@@ -257,11 +261,11 @@ def _check_caputo_power_semigroup(rng) -> float:
 
 def _check_homogeneous_residual() -> float:
     # truncation-order study away from the r^alpha layer at the base point
-    spec = IVPSpec(0.9, 0.5, 0.3, -0.7, -0.4, -0.6, 1.5)
+    spec = _DAMPED
     errs = []
     for n in (256, 512):
         grid = np.linspace(0.0, 1.0, n + 1)
-        vals = np.array([solve_homogeneous(spec, float(r), _CTRL) for r in grid])
+        vals = _homog_grid(spec, grid, _CTRL)
         trace = SolutionTrace(grid, vals, "series", np.zeros_like(grid), np.ones_like(grid, dtype=bool))
         errs.append(residual_check(spec, trace, min_r=0.25))
     order = math.log2(errs[0] / errs[1])
@@ -269,7 +273,7 @@ def _check_homogeneous_residual() -> float:
 
 
 def _check_oracle_agreement() -> float:
-    spec = IVPSpec(0.9, 0.5, 0.3, -0.7, -0.4, -0.6, 1.5)
+    spec = _DAMPED
     diffs = []
     for h in (1.0 / 128, 1.0 / 256):
         oracle = numeric_oracle_solve(spec, None, h, 1.0)
@@ -309,7 +313,13 @@ def all_check_names() -> list[str]:
 def run_checks(
     only: str | None = None, tol_override: float | None = None, seed: int = 20240817
 ) -> list[CheckResult]:
-    """Run the named checks (all by default) and return their results."""
+    """Run the named checks (all by default) and return their results.
+
+    ``tol_override`` replaces every check's tolerance; it must be finite and
+    nonnegative (pascal-tetrahedron's own tolerance is 0).
+    """
+    if tol_override is not None and not (math.isfinite(tol_override) and tol_override >= 0.0):
+        raise DomainError(f"tolerance override must be finite and >= 0, got {tol_override}")
     names = [only] if only else all_check_names()
     results = []
     for name in names:

@@ -39,6 +39,16 @@ class TestEval:
         assert float(row["value_re"]) == pytest.approx(math.exp(3.0), rel=1e-12)
         assert float(row["value_im"]) == 0.0
 
+    @pytest.mark.parametrize("tol", ["inf", "nan"])
+    def test_non_finite_tolerance_rejected(self, capsys, tol):
+        # an infinite rel_tol would stop the series after a few shells
+        # (8.5 for e^3) and still report convergence
+        code, out, err = run_cli(
+            capsys, "eval", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--delta", "1", "--eta", "1", "--u", "1", "--v", "1", "--w", "1", "--tol", tol,
+        )
+        assert code == 2 and out == "" and err.startswith("error: rel_tol")
+
     def test_unit_value_for_zero_arguments(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--alpha", "0.8", "--beta", "0.7", "--gamma", "0.3",
@@ -221,7 +231,17 @@ class TestVerify:
 
     def test_unknown_check_rejected(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--only", "no-such-check")
-        assert code == 2 and "unknown check" in err
+        assert code == 2
+        assert err == f"error: unknown check 'no-such-check'; known: {', '.join(verify.all_check_names())}\n"
+
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1e-3"])
+    def test_invalid_tolerance_override_rejected(self, capsys, tol):
+        code, out, err = run_cli(capsys, "verify", "--only", "pascal-tetrahedron", "--tol", tol)
+        assert code == 2 and out == "" and err.startswith("error: tolerance override")
+
+    def test_zero_tolerance_override_allowed(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--only", "pascal-tetrahedron", "--tol", "0")
+        assert code == 0 and out.startswith("PASS pascal-tetrahedron")
 
     @pytest.mark.parametrize("exc", [TalbotDivergenceError, QuadratureError])
     def test_node_doubling_failure_exit_3(self, capsys, monkeypatch, exc):

@@ -126,8 +126,9 @@ class TestTrivariate:
                 assert res2.abs_error_estimate <= ctrl.rel_tol * max(abs(res2.value), 1.0)
 
     def test_control_validation(self):
-        with pytest.raises(DomainError):
-            SeriesControl(rel_tol=0.0)
+        for tol in (0.0, math.inf, math.nan):
+            with pytest.raises(DomainError):
+                SeriesControl(rel_tol=tol)
         with pytest.raises(DomainError):
             SeriesControl(max_shell=0)
         with pytest.raises(DomainError):

@@ -5,12 +5,13 @@ import pytest
 
 from oracles import brute_univariate
 
-from trivml.errors import DomainError
+from trivml.errors import DomainError, SeriesNotConvergedError
 from trivml.series import SeriesControl, eval_prabhakar
 from trivml.solver import (
     Forcing,
     IVPSpec,
     SolutionTrace,
+    _homog_grid,
     ml_params_for,
     numeric_oracle_solve,
     particular_solution,
@@ -130,6 +131,33 @@ class TestHomogeneous:
                 if abs(block) <= 1e-14 * max(abs(total), 1.0) and d > 5:
                     break
             assert abs(total - bare) <= 1e-10 * max(abs(bare), 1.0)
+
+
+class TestHomogeneousGrid:
+    def test_matches_point_path(self):
+        # both paths round relative to the sum of |terms|, which grows with r:
+        # bound each point by its value at the next of 17 knots on [0, 1]
+        # (the scale y0 (1 + |l1| sum|terms of the delta = alpha + 1 kernel|))
+        p = ml_params_for(TAME, TAME.alpha + 1.0)
+        knots = np.linspace(0.0, 1.0, 17)
+        sum_abs = [0.0] + [
+            brute_univariate(p.alpha, p.beta, p.gamma, p.delta, p.eta, *TAME.lam.as_tuple(), r, absolute=True)
+            for r in knots[1:]
+        ]
+        for n in (256, 512):
+            grid = np.linspace(0.0, 1.0, n + 1)
+            got = _homog_grid(TAME, grid, CTRL)
+            ref = np.array([solve_homogeneous(TAME, float(r), CTRL) for r in grid])
+            scale = abs(TAME.y0) * (1.0 + abs(TAME.lambda1) * np.take(sum_abs, np.searchsorted(knots, grid)))
+            assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
+
+    def test_initial_value_exact(self):
+        for spec in (TAME, MIXED):
+            assert _homog_grid(spec, np.array([0.0, 0.5, 1.0]), CTRL)[0] == spec.y0
+
+    def test_budget_miss_raises(self):
+        with pytest.raises(SeriesNotConvergedError):
+            _homog_grid(TAME, np.linspace(0.0, 1.0, 9), SeriesControl(max_shell=2))
 
 
 class TestParticular:
@@ -255,11 +283,15 @@ class TestResidual:
         trace = SolutionTrace(grid, noise, "series", np.zeros(129), np.ones(129, bool))
         assert residual_check(TAME, trace) > 10.0
 
-    def test_exact_solution_refinement_order(self):
+    @pytest.mark.parametrize("path", ["point", "grid"])
+    def test_exact_solution_refinement_order(self, path):
         errs = []
         for n in (256, 512):
             grid = np.linspace(0.0, 1.0, n + 1)
-            vals = np.array([solve_homogeneous(TAME, float(r), CTRL) for r in grid])
+            if path == "grid":
+                vals = _homog_grid(TAME, grid, CTRL)
+            else:
+                vals = np.array([solve_homogeneous(TAME, float(r), CTRL) for r in grid])
             trace = SolutionTrace(grid, vals, "series", np.zeros(n + 1), np.ones(n + 1, bool))
             errs.append(residual_check(TAME, trace, min_r=0.25))
         order = math.log2(errs[0] / errs[1])
