@@ -1,9 +1,10 @@
 """Command-line front end: evaluate, solve, verify, and emit CSV tables.
 
 Exit codes: 0 success, 1 verification failure, 2 validation error
-(including an L1 step whose leading coefficient vanishes), 3 non-convergence
-(including a Talbot inversion or Gauss-Jacobi quadrature that fails its
-node-doubling check), 4 I/O error.  Output files are written to a temporary
+(including a NaN or infinite input and an L1 step whose leading coefficient
+vanishes), 3 non-convergence (including a finite input whose series argument
+leaves the double range, and a Talbot inversion or Gauss-Jacobi quadrature
+that fails its node-doubling check), 4 I/O error.  Output files are written to a temporary
 sibling and renamed into place, so a failing run never leaves a partial file;
 they get the mode the umask gives a newly created file.
 All numbers are printed with 17 significant digits (round-trip exact for
@@ -278,9 +279,10 @@ def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="trivml", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, max_shell=True):
         p.add_argument("--tol", type=float, default=None, help="series tolerance / verify tolerance override")
-        p.add_argument("--max-shell", dest="max_shell", type=int, default=None)
+        if max_shell:
+            p.add_argument("--max-shell", dest="max_shell", type=int, default=None)
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--config", default=None, help="JSON file of option defaults; explicit flags win")
 
@@ -307,7 +309,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the cross-module identity checks")
     p_verify.add_argument("--only", default=None)
-    add_common(p_verify)
+    add_common(p_verify, max_shell=False)  # each check keeps its own shell budget
 
     p_table = sub.add_parser("table", help="sweep the function families over parameters and r")
     for name in ("alpha", "beta", "gamma", "delta", "eta"):

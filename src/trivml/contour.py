@@ -22,20 +22,19 @@ from .series import EvalResult, MLParams
 
 __all__ = ["ContourSpec", "eval_hankel_contour"]
 
+# Target accuracy of the node-doubling divergence check.
+_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ContourSpec:
-    """Discretization of the contour.
+    """Discretization of the contour: the number of midpoint nodes.
 
-    ``radius_scale`` of None means the Talbot rule 2M/5 (M = half the node
-    count) times an automatic argument scale; a number replaces the Talbot
-    factor while keeping the argument scale.  ``tol`` is the target accuracy
-    used by the node-doubling divergence check.
+    The radius is the Talbot rule 2M/5 (M = half the node count) times an
+    automatic argument scale.
     """
 
     node_count: int = 64
-    radius_scale: float | None = None
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.node_count < 8:
@@ -74,14 +73,13 @@ def eval_hankel_contour(
         abs(v) ** (1.0 / params.beta),
         abs(w) ** (1.0 / params.gamma),
     )
-    talbot_factor = (n / 5.0) if contour.radius_scale is None else contour.radius_scale
-    rho = talbot_factor * scale
+    rho = (n / 5.0) * scale
 
-    coarse = _quad(params, u, v, w, n // 2, rho * 0.5 if contour.radius_scale is None else rho)
+    coarse = _quad(params, u, v, w, n // 2, rho * 0.5)
     fine = _quad(params, u, v, w, n, rho)
     finite = all(math.isfinite(x) for z in (fine, coarse) for x in (z.real, z.imag))
     if not finite:
         return EvalResult(fine, math.inf, n, False)
     delta = abs(fine - coarse)
-    converged = delta <= 10.0 * contour.tol * max(abs(fine), 1.0)
+    converged = delta <= 10.0 * _TOL * max(abs(fine), 1.0)
     return EvalResult(fine, delta, n, converged)

@@ -26,6 +26,7 @@ zero termwise through the reciprocal gamma).
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -97,15 +98,12 @@ class SeriesControl:
 
     rel_tol: float = 1e-12
     max_shell: int = 400
-    consecutive_quiet_shells: int = 3
 
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
         if self.max_shell < 1:
             raise DomainError("max_shell must be >= 1")
-        if self.consecutive_quiet_shells < 1:
-            raise DomainError("consecutive_quiet_shells must be >= 1")
 
 
 @dataclass
@@ -158,6 +156,8 @@ def _shell_lp(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _arg_parts(z):
     """(is_zero, log|z|, phase, sign_for_real) of a scalar series argument."""
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise DomainError(f"series argument must be finite, got {z}")
     if isinstance(z, complex) and z.imag != 0.0:
         mag = abs(z)
         if mag == 0.0:
@@ -262,22 +262,30 @@ def _shell_block(params: MLParams, pattern, poch, q0: int) -> list:
     return shells
 
 
-def _with_arg_logs(idx, logmag, slots):
-    """log|term| array: the argument-free logmag plus n log|z| per nonzero slot.
+def _shell_terms(parts, slots, complex_in: bool) -> np.ndarray:
+    """The terms of one :func:`_shells` entry at the arguments of ``slots``.
 
-    ``idx`` holds the (l, p, k) index arrays of the terms.
+    Adds n log|z| to the argument-free logmag for each nonzero slot,
+    exponentiates once, and adds the phases for complex arguments.
     """
-    for n, (is_zero, log_z, _, _) in zip(idx, slots):
+    l, p, k, _, logmag, sign = parts
+    for n, (is_zero, log_z, _, _) in zip((l, p, k), slots):
         if not is_zero:
             logmag = logmag + n * log_z
-    return logmag
+    if complex_in:
+        logmag = logmag + 1j * (l * slots[0][2] + p * slots[1][2] + k * slots[2][2])
+    return sign * np.exp(logmag)
+
+
+# Successive quiet shells needed before the tail estimate is trusted.
+_QUIET_SHELLS = 3
 
 
 def _sum_until_quiet(shells, ctrl: SeriesControl, zero) -> EvalResult:
     """Sum the shells of a series under the shared stopping rule.
 
     ``shells`` yields shell sums and ends early only for a terminating series.
-    Convergence needs ``consecutive_quiet_shells`` successive shells of
+    Convergence needs ``_QUIET_SHELLS`` successive shells of
     magnitude at most ``rel_tol * max(|partial|, 1)`` and a geometric tail
     estimate under the same bound.  A shell or partial sum outside the double
     range raises :class:`SeriesOverflowError`; the budget ``max_shell``
@@ -302,7 +310,7 @@ def _sum_until_quiet(shells, ctrl: SeriesControl, zero) -> EvalResult:
 
             if mag <= ctrl.rel_tol * max(abs(partial), 1.0):
                 quiet += 1
-                if quiet >= ctrl.consecutive_quiet_shells:
+                if quiet >= _QUIET_SHELLS:
                     est = _tail_estimate(last_mag, last_mags)
                     if est <= ctrl.rel_tol * max(abs(partial), 1.0):
                         return EvalResult(partial, est, q + 1, True)
@@ -330,34 +338,37 @@ def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None
     estimate is geometric: |last shell| / (1 - ratio of the last two nonzero
     shell magnitudes) when that ratio is below one, else |last shell|.  Raises
     :class:`SeriesOverflowError` when a shell or the partial sum leaves the
-    double range; a hit of ``max_shell`` returns ``converged=False``.
+    double range, and :class:`DomainError` for a non-finite argument; a hit
+    of ``max_shell`` returns ``converged=False``.
     """
-    ctrl = ctrl or SeriesControl()
-    complex_in = any(isinstance(z, complex) and z.imag != 0.0 for z in (u, v, w))
-    slots = tuple(_arg_parts(z) for z in (u, v, w))
+    return _sum_trivariate(params, (u, v, w), ctrl or SeriesControl())
+
+
+def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | None = None) -> EvalResult:
+    """:func:`eval_trivariate` at ``args`` = (u, v, w).
+
+    When ``kept`` is a list, each shell summed is appended to it as
+    (:func:`_shells` entry, term array), or (None, None) for a shell that
+    pruning emptied.
+    """
+    complex_in = any(isinstance(z, complex) and z.imag != 0.0 for z in args)
+    slots = tuple(_arg_parts(z) for z in args)
 
     def shells():
         for parts in _shells(params, slots, ctrl.max_shell):
-            if parts is None:
-                yield 0.0
-                continue
-            l, p, k, _, _, sign = parts
-            logmag = _with_arg_logs(parts[:3], parts[4], slots)
+            # an overflowing term gives an inf or nan shell, which the sum rejects
             with np.errstate(over="ignore", invalid="ignore"):
-                if complex_in:
-                    phase = l * slots[0][2] + p * slots[1][2] + k * slots[2][2]
-                    terms = sign * np.exp(logmag + 1j * phase)
-                else:
-                    terms = sign * np.exp(logmag)
-                shell = terms.sum()
+                terms = None if parts is None else _shell_terms(parts, slots, complex_in)
+                shell = 0.0 if terms is None else terms.sum()
+            if kept is not None:
+                kept.append((parts, terms))
             yield shell
 
     try:
         return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0)
     except SeriesOverflowError as exc:
-        raise SeriesOverflowError(
-            f"{exc} (params={params}, |u|,|v|,|w|={abs(u):.3g},{abs(v):.3g},{abs(w):.3g})"
-        ) from None
+        mags = ",".join(f"{abs(z):.3g}" for z in args)
+        raise SeriesOverflowError(f"{exc} (params={params}, |u|,|v|,|w|={mags})") from None
 
 
 def _value_at_zero(params: MLParams) -> float:
@@ -369,23 +380,37 @@ def _value_at_zero(params: MLParams) -> float:
     raise DomainError("r = 0 requires delta >= 1")
 
 
+def _univariate_args(params: MLParams, lam: LambdaTriple, r: float):
+    """Arguments (l1 r^alpha, l2 r^beta, l3 r^gamma) of E and prefactor r^(delta-1) at r > 0.
+
+    Raises :class:`DomainError` for a non-finite r and
+    :class:`SeriesOverflowError` when an argument or the prefactor leaves the
+    double range.
+    """
+    if not math.isfinite(r):
+        raise DomainError(f"univariate form requires a finite r, got {r}")
+    with contextlib.suppress(OverflowError):  # from float ** float
+        args = (lam.lambda1 * r**params.alpha, lam.lambda2 * r**params.beta, lam.lambda3 * r**params.gamma)
+        scale = r ** (params.delta - 1.0)
+        if math.isfinite(scale) and all(map(math.isfinite, args)):
+            return args, scale
+    raise SeriesOverflowError(f"univariate arguments at r={r} overflow (params={params}, lam={lam})")
+
+
 def eval_univariate(
     params: MLParams, lam: LambdaTriple, r: float, ctrl: SeriesControl | None = None
 ) -> EvalResult:
     """The time-domain form r^(delta-1) E(l1 r^alpha, l2 r^beta, l3 r^gamma).
 
-    Requires r > 0, or r = 0 with delta >= 1 (where the limit is 0 for
-    delta > 1 and 1/Gamma(1) = 1 for delta = 1).
+    Requires a finite r > 0, or r = 0 with delta >= 1 (where the limit is 0
+    for delta > 1 and 1/Gamma(1) = 1 for delta = 1).
     """
     if r < 0.0:
         raise DomainError(f"univariate form requires r >= 0, got {r}")
     if r == 0.0:
         return EvalResult(_value_at_zero(params), 0.0, 0, True)
-    u = lam.lambda1 * r**params.alpha
-    v = lam.lambda2 * r**params.beta
-    w = lam.lambda3 * r**params.gamma
-    res = eval_trivariate(params, u, v, w, ctrl)
-    scale = r ** (params.delta - 1.0)
+    args, scale = _univariate_args(params, lam, r)
+    res = eval_trivariate(params, *args, ctrl)
     return EvalResult(res.value * scale, res.abs_error_estimate * scale, res.shells_used, res.converged)
 
 
@@ -401,11 +426,12 @@ def eval_univariate_grid(
     rs: np.ndarray,
     ctrl: SeriesControl | None = None,
 ) -> tuple[np.ndarray, EvalResult]:
-    """Vectorized univariate form over a batch of nonnegative abscissae.
+    """Vectorized univariate form over a batch of finite nonnegative abscissae.
 
-    The shell budget is fixed by an adaptive evaluation at rmax = max(rs)
-    (where the truncation tail is largest).  Each term is then scaled from its
-    value at rmax: with x = r / rmax and c_lpk the term of E at rmax,
+    The shells are summed once, at rmax = max(rs) (where the truncation tail
+    is largest), under the stopping rule of :func:`eval_univariate`, and each
+    term summed there is kept.  Each term is then scaled from its value at
+    rmax: with x = r / rmax and c_lpk the term of E at rmax,
 
         value(r) = r^(delta-1) sum_{l,p,k} c_lpk x^(l alpha) x^(p beta) x^(k gamma).
 
@@ -415,8 +441,8 @@ def eval_univariate_grid(
     pass when a lambda is zero) and, for each value, contracts the other two
     with one small matrix product and a row-wise dot, _GRID_BLOCK values per
     stacked product.  That is (sum of the three index extents) exps per point
-    instead of one per term.  Returns the values plus the diagnostic result
-    at rmax.
+    instead of one per term.  Returns the values plus the result at rmax,
+    which is ``eval_univariate(params, lam, rmax, ctrl)``.
     """
     ctrl = ctrl or SeriesControl()
     rs = np.asarray(rs, dtype=float)
@@ -430,20 +456,17 @@ def eval_univariate_grid(
     if not live.any():
         return out, EvalResult(out[0] if out.size else 0.0, 0.0, 0, True)
 
-    rmax = float(rs[live].max())
-    probe = eval_univariate(params, lam, rmax, ctrl)
-    qmax = max(probe.shells_used - 1, 0)
+    rmax = float(rs[live].max())  # NaN if any abscissa is
+    args, scale = _univariate_args(params, lam, rmax)
+    kept: list = []
+    res = _sum_trivariate(params, args, ctrl, kept)
+    probe = EvalResult(res.value * scale, res.abs_error_estimate * scale, res.shells_used, res.converged)
 
-    # the probe's arguments, so the probe's shell table serves again
+    # the terms summed at rmax are the coefficients c_lpk, on index arrays idx
+    *idx, coeffs = (np.concatenate(c) for c in zip(*[(*s[:3], t) for s, t in kept if s is not None]))
+    # an index direction runs over every shell unless its argument is zero
+    extents = [1 if z == 0.0 else len(kept) for z in args]
     indices = (params.alpha, params.beta, params.gamma)
-    slots = tuple(_arg_parts(x * rmax**e) for x, e in zip(lam.as_tuple(), indices))
-    shells = list(_shells(params, slots, qmax))
-    cols = list(zip(*filter(None, shells)))
-    idx = tuple(np.concatenate(cols[c]) for c in range(3))
-    with np.errstate(over="ignore"):
-        coeffs = np.concatenate(cols[5]) * np.exp(_with_arg_logs(idx, np.concatenate(cols[4]), slots))
-    # an index direction runs over every shell unless its lambda is zero
-    extents = [1 if slot[0] else len(shells) for slot in slots]
     r = rs[live]
     logx = np.log(r / rmax)
     powers = [np.exp(np.outer(np.arange(n) * e, logx)) for n, e in zip(extents, indices)]
@@ -457,8 +480,8 @@ def eval_univariate_grid(
     parts = np.empty((extents[d], r.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(0, extents[d], _GRID_BLOCK):
-            # a term with d-index >= m has i- and j-indices <= len(shells) - 1 - m
-            a, b = (min(extents[n], len(shells) - m) for n in (i, j))
+            # a term with d-index >= m has i- and j-indices <= len(kept) - 1 - m
+            a, b = (min(extents[n], len(kept) - m) for n in (i, j))
             prod = dense[m : m + _GRID_BLOCK, :a, :b] @ powers[j][:b]
             np.einsum("mij,ij->mj", prod, powers[i][:a], out=parts[m : m + _GRID_BLOCK])
         vals = np.einsum("mj,mj->j", parts, powers[d]) * r ** (params.delta - 1.0)

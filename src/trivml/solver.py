@@ -190,7 +190,7 @@ def solve_homogeneous(spec: IVPSpec, r: float, ctrl: SeriesControl | None = None
 
 
 def solve_homogeneous_fox_wright(
-    spec: IVPSpec, r: float, ctrl: SeriesControl | None = None, block_tol: float = 1e-14
+    spec: IVPSpec, r: float, ctrl: SeriesControl | None = None
 ) -> float:
     """The same homogeneous solution assembled from 1Psi1 Wright series.
 
@@ -235,7 +235,7 @@ def solve_homogeneous_fox_wright(
             inner = t1.value - x3 * t2.value - spec.lambda2 * r**ag * t3.value
             block += sign * math.exp(logpre) * inner
         total += block
-        if abs(block) <= block_tol * max(abs(total), 1.0):
+        if abs(block) <= 1e-14 * max(abs(total), 1.0):
             quiet += 1
             if quiet >= 3:
                 return total * spec.y0

@@ -49,6 +49,14 @@ class TestEval:
         )
         assert code == 2 and out == "" and err.startswith("error: rel_tol")
 
+    @pytest.mark.parametrize("u", ["nan", "1,inf"])
+    def test_non_finite_argument_exit_2(self, capsys, u):
+        code, out, err = run_cli(
+            capsys, "eval", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--delta", "1", "--eta", "1", "--u", u, "--v", "0", "--w", "0",
+        )
+        assert code == 2 and out == "" and err.startswith("error: series argument must be finite")
+
     def test_unit_value_for_zero_arguments(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--alpha", "0.8", "--beta", "0.7", "--gamma", "0.3",
@@ -103,6 +111,21 @@ class TestEvalUnivariate:
             MLParams(0.9, 0.7, 0.5, 1.3, 1.0), LambdaTriple(0.5, -0.4, 0.3), 0.8
         ).value
         assert float(row["value"]) == pytest.approx(ref, rel=1e-14)
+
+    UNIV = ["eval-univariate", "--beta", "0.7", "--gamma", "0.5", "--delta", "1.3", "--eta", "1.0",
+            "--lambda1", "0.5", "--lambda2", "-0.4", "--lambda3", "0.3"]
+
+    @pytest.mark.parametrize("r", ["nan", "inf"])
+    def test_non_finite_abscissa_exit_2(self, capsys, r):
+        code, out, err = run_cli(capsys, *self.UNIV, "--alpha", "0.9", "--r", r)
+        assert code == 2 and out == "" and err.startswith("error: univariate form requires a finite r")
+
+    def test_argument_outside_double_range_exit_3(self, capsys):
+        # 1e300 ** 1.5 is past the double range
+        code, out, err = run_cli(capsys, *self.UNIV, "--alpha", "1.5", "--r", "1e300")
+        assert code == 3 and out == ""
+        assert err.startswith("error: univariate arguments at r=1e+300 overflow")
+        assert "params=MLParams(alpha=1.5" in err
 
 
 class TestSolve:
@@ -242,6 +265,17 @@ class TestVerify:
     def test_zero_tolerance_override_allowed(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "pascal-tetrahedron", "--tol", "0")
         assert code == 0 and out.startswith("PASS pascal-tetrahedron")
+
+    def test_max_shell_is_not_a_verify_option(self, capsys, tmp_path):
+        # the checks run at their own shell budget, so the flag would do nothing
+        with pytest.raises(SystemExit) as info:
+            main(["verify", "--only", "exp-reduction", "--max-shell", "1"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --max-shell 1" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_shell": 5}))
+        code, out, err = run_cli(capsys, "verify", "--only", "exp-reduction", "--config", str(cfg))
+        assert code == 2 and out == "" and err == "error: config option 'max_shell' is not recognized\n"
 
     @pytest.mark.parametrize("exc", [TalbotDivergenceError, QuadratureError])
     def test_node_doubling_failure_exit_3(self, capsys, monkeypatch, exc):

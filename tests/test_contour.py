@@ -58,9 +58,3 @@ def test_divergence_flag_fires_for_hostile_arguments():
 def test_node_count_validation():
     with pytest.raises(DomainError):
         ContourSpec(node_count=4)
-
-
-def test_explicit_radius_scale():
-    p = MLParams(1, 1, 1, 1, 1)
-    res = eval_hankel_contour(p, 0.5, 0.5, 0.5, ContourSpec(node_count=64, radius_scale=12.8))
-    assert complex(res.value).real == pytest.approx(math.exp(1.5), rel=1e-8)

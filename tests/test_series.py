@@ -208,6 +208,35 @@ class TestUnivariate:
                                        rel=1e-12)
 
 
+class TestArgumentRange:
+    P = MLParams(0.9, 0.7, 0.5, 1.3, 1.0)
+    LAM = LambdaTriple(0.5, -0.4, 0.3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_input_is_a_domain_error(self, bad):
+        calls = [
+            lambda: eval_univariate(self.P, self.LAM, bad),
+            lambda: eval_univariate_grid(self.P, self.LAM, np.array([0.5, bad])),
+            lambda: eval_trivariate(self.P, 0.5, bad, 0.5),
+            lambda: eval_trivariate(self.P, complex(0.5, bad), 0.5, 0.5),
+            lambda: eval_prabhakar(0.9, 1.3, 1.0, bad),
+            lambda: eval_fox_wright_1psi1((1.0, 1.0), (1.0, 1.0), bad),
+        ]
+        for call in calls:
+            with pytest.raises(DomainError, match="finite"):
+                call()
+
+    @pytest.mark.parametrize("p, lam, r", [
+        (MLParams(1.5, 0.7, 0.5, 1.3, 1.0), LAM, 1e300),  # r^alpha
+        (MLParams(1.0, 0.7, 0.5, 1.3, 1.0), LambdaTriple(1e300, 0.0, 0.0), 1e10),  # lambda1 r^alpha
+        (MLParams(0.9, 0.7, 0.5, -1.5, 1.0), LAM, 1e-200),  # r^(delta-1)
+    ])
+    def test_argument_outside_double_range_overflows(self, p, lam, r):
+        for call in (lambda: eval_univariate(p, lam, r), lambda: eval_univariate_grid(p, lam, np.array([r]))):
+            with pytest.raises(SeriesOverflowError, match=r"params=MLParams\(alpha="):
+                call()
+
+
 # (params, lambdas, abscissae) covering the slot patterns and grid shapes of
 # the grid path; grids from 0 take the r = 0 rule (delta >= 1)
 _GRID_CASES = {
@@ -234,6 +263,8 @@ class TestUnivariateGrid:
         ctrl = SeriesControl(rel_tol=1e-16, max_shell=700)
         vals, probe = eval_univariate_grid(p, LambdaTriple(*lam), rs, ctrl)
         assert probe.converged
+        # the grid sums the shells at rmax itself, exactly as eval_univariate does
+        assert _bits(probe) == _bits(eval_univariate(p, LambdaTriple(*lam), float(rs.max()), ctrl))
         eps = np.finfo(float).eps
         for r, val in zip(rs, vals):
             args = (p.alpha, p.beta, p.gamma, p.delta, p.eta, *lam, float(r))
@@ -241,8 +272,8 @@ class TestUnivariateGrid:
             assert abs(val - brute_univariate(*args)) <= 64 * eps * scale, f"r={r}"
 
     def test_probe_overflow_raises(self):
-        # the terms at rmax leave the double range
-        with pytest.raises(SeriesOverflowError):
+        # the terms at rmax leave the double range; the message names the parameters
+        with pytest.raises(SeriesOverflowError, match=r"params=MLParams\(alpha=1, beta=1, gamma=1"):
             eval_univariate_grid(MLParams(1, 1, 1, 1, 1), LambdaTriple(800, 0, 0), np.linspace(0, 1, 5), CTRL)
 
     def test_small_abscissa_overflow_raises(self):
@@ -250,6 +281,28 @@ class TestUnivariateGrid:
         rs = np.array([1e-300, 0.5, 1.0])
         with pytest.raises(SeriesOverflowError):
             eval_univariate_grid(MLParams(0.9, 0.7, 0.5, -0.5, 1), LambdaTriple(0.5, -0.4, 0.3), rs, CTRL)
+
+    def test_one_shell_walk_per_call(self, monkeypatch):
+        # the shells at rmax are walked once, for the probe and the coefficients alike
+        walks = []
+        real = series._shells
+
+        def counting(*args):
+            walks.append(args[2])
+            return real(*args)
+
+        monkeypatch.setattr(series, "_shells", counting)
+        p, lam, rs = _GRID_CASES["all-nonzero"]
+        eval_univariate_grid(p, LambdaTriple(*lam), rs, CTRL)
+        assert walks == [CTRL.max_shell]
+
+    @pytest.mark.usefixtures("cold_tables")
+    def test_single_call_stores_no_block(self):
+        # one grid call is one call of its key, so parameters used once keep nothing
+        p, lam, rs = _GRID_CASES["all-nonzero"]
+        eval_univariate_grid(p, LambdaTriple(*lam), rs, CTRL)
+        assert series._table.cache_info().currsize == 1
+        assert not _stored_blocks(p, tuple(x * rs.max() for x in lam))
 
 
 class TestPrabhakar:
