@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import sys
@@ -235,6 +236,11 @@ def cmd_table(opts: dict) -> int:
                     for e in etas:
                         for r in rs:
                             r = float(r)
+                            for name, scale in zip("uvw", (scale_u, scale_v, scale_w)):
+                                if math.isinf(scale * r) and math.isfinite(scale) and math.isfinite(r):
+                                    raise SeriesOverflowError(
+                                        f"table argument --{name} {scale:g} times r={r:g} leaves the double range"
+                                    )
                             rows = {
                                 "trivariate": eval_trivariate(
                                     MLParams(a, b, c, d, e), scale_u * r, scale_v * r, scale_w * r, ctrl

@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .errors import DomainError, SeriesOverflowError
-from .kernels import log_pochhammer, log_pochhammer_table, signed_log_rgamma, sinpi
+from .kernels import log_pochhammer, log_pochhammer_table, signed_log_rgamma
 
 __all__ = [
     "MLParams",
@@ -387,6 +387,7 @@ def _univariate_args(params: MLParams, lam: LambdaTriple, r: float):
     :class:`SeriesOverflowError` when an argument or the prefactor leaves the
     double range.
     """
+    r = float(r)  # a numpy scalar's ** warns on overflow instead of raising
     if not math.isfinite(r):
         raise DomainError(f"univariate form requires a finite r, got {r}")
     with contextlib.suppress(OverflowError):  # from float ** float
@@ -546,34 +547,57 @@ def eval_fox_wright_1psi1(
 ) -> EvalResult:
     """The one-over-one Wright series sum_k Gamma(l0 + a0 k) s^k / (Gamma(m0 + b0 k) k!).
 
-    Requires the convergence condition b0 - a0 > -1.
+    Requires the convergence condition b0 - a0 > -1.  The one-row case of
+    :func:`_wright_sum`.
+    """
+    m0, b0 = mu_den
+    return _wright_sum(lam_num, b0, [m0], [1.0], s, ctrl or SeriesControl())
+
+
+def _wright_sum(lam_num, b0: float, m0s, weights, s, ctrl: SeriesControl) -> EvalResult:
+    """Weighted 1Psi1 rows summed termwise in k:
+
+        sum_k sum_j w_j Gamma(l0 + a0 k) s^k / (Gamma(m0_j + b0 k) k!).
+
+    Each _TERM_BLOCK of k takes one reciprocal-gamma call for the numerators
+    and one for the (block x rows) denominators.  The rows of a term are
+    reduced along a contiguous axis, so a term's value does not depend on the
+    block size.  Term k raises :class:`DomainError` at a numerator pole and
+    :class:`SeriesOverflowError` when any row's |term| leaves the double
+    range, each only when the sum reaches term k.  A zero s keeps only the
+    first term.
     """
     l0, a0 = lam_num
-    m0, b0 = mu_den
     if not b0 - a0 > -1.0:
         raise DomainError(f"needs b - a > -1 for convergence, got {b0 - a0}")
-    ctrl = ctrl or SeriesControl()
     complex_in = isinstance(s, complex) and s.imag != 0.0
     zs, log_s, ph_s, sg_s = _arg_parts(s)
+    m0s = np.asarray(m0s, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    n = 1 if zs else ctrl.max_shell + 1
 
     def terms():
-        for k, (rg_sign, rg_log) in enumerate(_rgamma_terms(m0, b0, ctrl.max_shell + 1)):
-            narg = l0 + a0 * k
-            if narg <= 0.0 and narg == math.floor(narg):
-                raise DomainError(f"numerator gamma pole at term {k} (argument {narg})")
-            n_sign = 1.0 if narg > 0.0 else math.copysign(1.0, float(sinpi(narg)))
-            n_log = math.lgamma(narg)
-            if zs and k > 0:
-                return
-            logmag = n_log + rg_log - math.lgamma(k + 1.0)
+        for k0 in range(0, n, _TERM_BLOCK):
+            ks = np.arange(k0, min(k0 + _TERM_BLOCK, n))
+            n_sign, n_rlog = signed_log_rgamma(l0 + a0 * ks)
+            rg_sign, rg_log = signed_log_rgamma(m0s + b0 * ks[:, None])
+            head = -n_rlog - _logfact(ks[-1])[ks]
             if not zs:
-                logmag += k * log_s
-            if logmag > _EXP_MAX:
-                raise SeriesOverflowError(f"term {k} exceeds the double range")
-            sign = n_sign * rg_sign * (sg_s if (k % 2 and sg_s < 0) else 1.0)
-            if complex_in:
-                yield sign * math.exp(logmag) * complex(math.cos(k * ph_s), math.sin(k * ph_s))
-            else:
-                yield sign * math.exp(logmag)
+                head = head + ks * log_s
+            if sg_s < 0.0:
+                n_sign = np.where(ks % 2 == 1, -n_sign, n_sign)
+            # a pole or overflowing row gives inf or nan terms, raised on below
+            with np.errstate(over="ignore", invalid="ignore"):
+                logmag = head[:, None] + rg_log
+                vals = (weights * rg_sign * np.exp(logmag)).sum(axis=1) * n_sign
+                if complex_in:
+                    vals = vals * (np.cos(ks * ph_s) + 1j * np.sin(ks * ph_s))
+            over = (logmag > _EXP_MAX).any(axis=1)
+            for k, val, pole, big in zip(ks.tolist(), vals.tolist(), (n_sign == 0.0).tolist(), over.tolist()):
+                if pole:
+                    raise DomainError(f"numerator gamma pole at term {k} (argument {l0 + a0 * k})")
+                if big:
+                    raise SeriesOverflowError(f"term {k} exceeds the double range")
+                yield val
 
     return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0)

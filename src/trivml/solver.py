@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.special import gammaln
 
 from .errors import DomainError, QuadratureError, SeriesNotConvergedError, SeriesOverflowError, SingularStepError
 from .fractional import l1_weights
@@ -26,7 +27,8 @@ from .series import (
     LambdaTriple,
     MLParams,
     SeriesControl,
-    eval_fox_wright_1psi1,
+    _EXP_MAX,
+    _wright_sum,
     eval_univariate,
     eval_univariate_grid,
 )
@@ -195,46 +197,54 @@ def solve_homogeneous_fox_wright(
     """The same homogeneous solution assembled from 1Psi1 Wright series.
 
     Expands the double sum over the first two index directions and sums the
-    third direction as three 1Psi1 factors per block.  Entirely independent of
-    the trivariate shell engine; used to cross-check it.
+    third direction, one block d = l + p at a time, as one weighted 1Psi1
+    series: each (l, p) row enters with its prefactor times the factors 1,
+    -x3 and -l2 r^(alpha-gamma) of its three denominators.  The weights are
+    divided by the largest of them, so the series' stopping rule sees a
+    partial sum of order one.  Entirely independent of the trivariate shell
+    engine; used to cross-check it.
     """
     if r < 0.0:
         raise DomainError(f"requires r >= 0, got {r}")
+    if not math.isfinite(r):
+        raise DomainError(f"requires a finite r, got {r}")
     if r == 0.0:
         return spec.y0
+    ctrl = ctrl or SeriesControl()
     ab = spec.alpha - spec.beta
     ag = spec.alpha - spec.gamma
     bg = spec.beta - spec.gamma
     x3 = spec.lambda3 * r**ab
+    factors = np.array([1.0, -x3, -spec.lambda2 * r**ag])
+    if not np.isfinite(factors).all():
+        raise SeriesOverflowError(f"a Wright series argument at r={r} leaves the double range")
+    # a zero lambda keeps only its zeroth power, whose log term is then 0
+    lam1, lam2 = spec.lambda1, spec.lambda2
+    log_lam1, log_lam2 = (math.log(abs(x)) if x else 0.0 for x in (lam1, lam2))
     log_r = math.log(r)
     total = 0.0
-    dmax = (ctrl or SeriesControl()).max_shell
     quiet = 0
-    for d in range(dmax + 1):
+    for d in range(ctrl.max_shell + 1):
+        l = np.arange(d + 1)
+        l = l[((lam1 != 0.0) | (l == 0)) & ((lam2 != 0.0) | (l == d))]
+        p = d - l
+        expo = ab * d + spec.beta * l + bg * p
+        logpre = l * log_lam1 + p * log_lam2 - gammaln(l + 1.0) - gammaln(p + 1.0) + expo * log_r
+        if (logpre > _EXP_MAX).any():
+            raise SeriesOverflowError(f"a prefactor of block d={d} leaves the double range")
+        sign = np.where((lam1 < 0.0) & (l % 2 == 1), -1.0, 1.0) * np.where((lam2 < 0.0) & (p % 2 == 1), -1.0, 1.0)
+        weights = np.outer(factors, sign * np.exp(logpre)).ravel()
+        scale = float(np.abs(weights).max(initial=0.0))
         block = 0.0
-        for l in range(d + 1):
-            p = d - l
-            sign = (-1.0 if (spec.lambda1 < 0 and l % 2) else 1.0) * (
-                -1.0 if (spec.lambda2 < 0 and p % 2) else 1.0
-            )
-            if (spec.lambda1 == 0.0 and l > 0) or (spec.lambda2 == 0.0 and p > 0):
-                continue
-            logpre = (
-                (l * math.log(abs(spec.lambda1)) if l else 0.0)
-                + (p * math.log(abs(spec.lambda2)) if p else 0.0)
-                - math.lgamma(l + 1.0)
-                - math.lgamma(p + 1.0)
-                + (ab * d + spec.beta * l + bg * p) * log_r
-            )
-            c0 = ab * d + spec.beta * l + bg * p + 1.0
-            t1 = eval_fox_wright_1psi1((d + 1.0, 1.0), (c0, ab), x3, ctrl)
-            t2 = eval_fox_wright_1psi1((d + 1.0, 1.0), (c0 + ab, ab), x3, ctrl)
-            t3 = eval_fox_wright_1psi1((d + 1.0, 1.0), (c0 + ag, ab), x3, ctrl)
-            if not (t1.converged and t2.converged and t3.converged):
+        if scale > 0.0:
+            c0 = expo + 1.0
+            res = _wright_sum((d + 1.0, 1.0), ab, np.concatenate((c0, c0 + ab, c0 + ag)), weights / scale, x3, ctrl)
+            if not res.converged:
                 raise SeriesNotConvergedError("1Psi1 factor did not converge")
-            inner = t1.value - x3 * t2.value - spec.lambda2 * r**ag * t3.value
-            block += sign * math.exp(logpre) * inner
+            block = scale * res.value
         total += block
+        if not math.isfinite(total):
+            raise SeriesOverflowError(f"the block sum leaves the double range at d={d}")
         if abs(block) <= 1e-14 * max(abs(total), 1.0):
             quiet += 1
             if quiet >= 3:

@@ -242,6 +242,12 @@ class TestSolve:
 
 
 class TestVerify:
+    def test_whole_suite_passes(self, capsys):
+        code, out, _ = run_cli(capsys, "verify")
+        lines = out.splitlines()
+        assert code == 0
+        assert len(lines) == 15 and all(line.startswith("PASS ") for line in lines)
+
     def test_single_check_passes(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--only", "exp-reduction")
         assert code == 0
@@ -341,6 +347,16 @@ class TestTable:
             assert code == 0
             _, rows = parse_csv(out)
             assert {float(row[list(sweep).index(flag) + 1]) for row in rows} == {-3.0, 1.0}
+
+    def test_argument_outside_double_range_exit_3(self, capsys):
+        # finite --u and --t-max whose product overflows: a finite input
+        # whose series argument leaves the double range
+        code, out, err = run_cli(
+            capsys, "table", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
+            "--eta", "1", "--t-max", "1e300", "--n-points", "1", "--u", "1e10",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: table argument --u 1e+10 times r=1e+300 leaves the double range\n"
 
     def test_bad_ranges_exit_2(self, capsys):
         code, _, _ = run_cli(

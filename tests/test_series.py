@@ -236,6 +236,12 @@ class TestArgumentRange:
             with pytest.raises(SeriesOverflowError, match=r"params=MLParams\(alpha="):
                 call()
 
+    def test_numpy_abscissa_outside_double_range_overflows(self):
+        # numpy's scalar ** returns inf with a RuntimeWarning where a float's
+        # raises OverflowError; the engine must raise the same error for both
+        with pytest.raises(SeriesOverflowError, match="at r=1e\\+300 overflow"):
+            eval_univariate(MLParams(1.5, 1, 1, 1, 1), LambdaTriple(1, 1, 1), np.float64(1e300))
+
 
 # (params, lambdas, abscissae) covering the slot patterns and grid shapes of
 # the grid path; grids from 0 take the r = 0 rule (delta >= 1)
@@ -624,12 +630,14 @@ class TestBlockBuild:
     @pytest.mark.parametrize("s", [0.0, 0.8, -2.5, 30.0, 1.5 - 2.0j, 720.0])
     def test_single_index_engines(self, monkeypatch, s):
         # at 720 the first Prabhakar series overflows on a single term and the
-        # last 1Psi1 series in its partial sum; each must raise at the same term
+        # last two 1Psi1 series in their partial sums; each must raise at the
+        # same term
         calls = [
             lambda ctrl: eval_prabhakar(0.7, -0.4, 1.3, s, ctrl),
             lambda ctrl: eval_prabhakar(1.0, 1.0, -9.0, s, ctrl),
             lambda ctrl: eval_fox_wright_1psi1((0.3, 0.5), (-0.6, 0.9), s, ctrl),
             lambda ctrl: eval_fox_wright_1psi1((1.0, 1.0), (1.0, 1.0), s, ctrl),
+            lambda ctrl: series._wright_sum((1.0, 1.0), 1.0, [1.0, -0.6], [1.0, -0.5], s, ctrl),
         ]
         budgets = [1, 15, 16, 17, 33, 3000]
         for call in calls:

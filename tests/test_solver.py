@@ -5,7 +5,8 @@ import pytest
 
 from oracles import brute_univariate
 
-from trivml.errors import DomainError, SeriesNotConvergedError
+from trivml import series, solver
+from trivml.errors import DomainError, SeriesNotConvergedError, SeriesOverflowError
 from trivml.series import SeriesControl, eval_prabhakar
 from trivml.solver import (
     Forcing,
@@ -97,11 +98,60 @@ class TestHomogeneous:
             assert got == pytest.approx((1.0 + spec.lambda1 * e) * spec.y0, rel=1e-11)
 
     def test_fox_wright_assembly_matches(self):
-        for spec in (TAME, MIXED, IVPSpec(0.9, 0.6, 0.3, 0.4, -0.3, 0.5, 1.7)):
+        specs = (
+            TAME,
+            MIXED,
+            IVPSpec(0.9, 0.6, 0.3, 0.4, -0.3, 0.5, 1.7),
+            IVPSpec(0.9, 0.6, 0.3, 0.0, -0.3, 0.5, 1.7),  # lambda1 = 0
+            IVPSpec(0.9, 0.6, 0.3, 0.4, 0.0, 0.5, 1.7),  # lambda2 = 0
+            IVPSpec(0.9, 0.6, 0.3, 0.4, -0.3, 0.0, 1.7),  # lambda3 = 0
+        )
+        for spec in specs:
             for r in (0.25, 0.5, 0.75, 1.0):
                 a = solve_homogeneous(spec, r, CTRL)
                 b = solve_homogeneous_fox_wright(spec, r, CTRL)
-                assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)
+                assert abs(a - b) <= 5e-14 * max(abs(a), 1.0)
+
+    def test_fox_wright_sums_one_series_per_block(self, monkeypatch):
+        # each block d = l + p is one weighted 1Psi1 series in k, not three
+        # per (l, p) row; its numerator Gamma(d + 1 + k) names the block
+        blocks, series_count = [], [0]
+        wright_sum, sum_until_quiet = solver._wright_sum, series._sum_until_quiet
+
+        def record_block(lam_num, *args):
+            blocks.append(lam_num[0] - 1.0)
+            return wright_sum(lam_num, *args)
+
+        def count(*args):
+            series_count[0] += 1
+            return sum_until_quiet(*args)
+
+        monkeypatch.setattr(solver, "_wright_sum", record_block)
+        monkeypatch.setattr(series, "_sum_until_quiet", count)
+        solve_homogeneous_fox_wright(MIXED, 0.75, CTRL)
+        assert len(blocks) > 3 and blocks == list(range(len(blocks)))
+        assert series_count[0] == len(blocks)
+
+    @pytest.mark.parametrize("solver_fn", [solve_homogeneous, solve_homogeneous_fox_wright])
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_non_finite_r_is_a_domain_error(self, solver_fn, r):
+        with pytest.raises(DomainError, match="requires a finite r"):
+            solver_fn(MIXED, r, CTRL)
+
+    @pytest.mark.parametrize(
+        "spec, r, what",
+        [
+            (IVPSpec(0.9, 0.6, 0.3, 1e3, -0.3, 0.5, 1.7), 1.0, "block sum"),
+            (IVPSpec(0.9, 0.6, 0.3, 1e8, -0.3, 0.5, 1.7), 1.0, "block sum"),
+            (IVPSpec(0.9, 0.6, 0.3, 1e300, -0.3, 0.5, 1.7), 1.0, "prefactor of block d=2"),
+            (IVPSpec(0.9, 0.6, 0.3, 0.4, -0.3, 1e308, 1.7), 100.0, "Wright series argument"),
+        ],
+    )
+    def test_fox_wright_outside_double_range_overflows(self, spec, r, what):
+        # finite inputs whose sum leaves the double range raise, with no
+        # inf or nan passed on and no numpy overflow warning on the way
+        with pytest.raises(SeriesOverflowError, match=what):
+            solve_homogeneous_fox_wright(spec, r, CTRL)
 
     def test_particular_kernel_wright_assembly(self):
         # the forced-problem kernel admits an independent double-sum-of-1Psi1
