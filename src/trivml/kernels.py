@@ -71,6 +71,8 @@ def signed_log_rgamma(x):
     x = np.asarray(x, dtype=float)
     pos = x > 0.5
     sign = np.ones_like(x)
+    if pos.all():  # no reflection needed: skip the masked gathers and scatters
+        return sign, np.negative(gammaln(x), out=np.empty_like(x))
     logv = np.empty_like(x)
     logv[pos] = -gammaln(x[pos])
     xn = x[~pos]

@@ -10,8 +10,8 @@ natural truncation unit because the rising-factorial numerator grows with the
 total degree.  Term magnitudes are assembled in log space and exponentiated
 once per term; signs (and phases, for complex arguments) ride separately.
 The argument-free part of each shell is built once per parameter set, a
-block of shells per kernel call, and kept in a small table (:func:`_shells`);
-a call adds only n log|z| per slot.
+block of shells per kernel call from a shared parameter-free index block, and
+kept in a small table (:func:`_shells`); a call adds only n log|z| per slot.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
@@ -134,24 +134,10 @@ def _logfact(n: int) -> np.ndarray:
     return _logfact_table
 
 
-# Shells q < _TABLE_MAX_Q are cached, both their index arrays and, per
-# parameter set, their argument-free parts (up to 5 MB per table); later
+# Shells q < _TABLE_MAX_Q are cached, both their index blocks and, per
+# parameter set, their argument-free parts (up to 3.7 MB per table); later
 # shells are rebuilt per call.
 _TABLE_MAX_Q = 96
-_shell_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _shell_lp(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index arrays (l, p) over the simplex shell l + p + k = q, k = q - l - p."""
-    if q in _shell_cache:
-        return _shell_cache[q]
-    counts = np.arange(q + 1, 0, -1)
-    l = np.repeat(np.arange(q + 1), counts)
-    offsets = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    p = np.arange(l.size) - np.repeat(offsets, counts)
-    if q < _TABLE_MAX_Q:
-        _shell_cache[q] = (l, p)
-    return l, p
 
 
 def _arg_parts(z):
@@ -218,48 +204,67 @@ def _shells(params: MLParams, slots, qmax: int):
         yield from block[: qend - q0]
 
 
+_PARITY = np.array([1.0, -1.0])  # (-1)^n, indexed by n & 1
+
+
 def _shell_block(params: MLParams, pattern, poch, q0: int) -> list:
     """Shells q0..q0+_SHELL_BLOCK-1 of :func:`_shells`, built in one pass.
 
-    The block's index arrays are concatenated, so one ``signed_log_rgamma``
-    call and one elementwise pass cover every term; each shell is then a view
-    of the block's arrays.  Without a zero slot, a shell's (l, p) are the
-    shared :func:`_shell_lp` arrays.
+    The parameter-free part of the block comes from :func:`_index_block`, so
+    one ``signed_log_rgamma`` call and one elementwise pass cover every term;
+    each shell is then a view of the block's arrays.
     """
-    q1 = q0 + _SHELL_BLOCK
+    zero_dirs = tuple(d for d, (is_zero, _) in enumerate(pattern) if is_zero)
+    l, p, k, lf_l, lf_p, lf_k, sizes, parts = _index_block(q0, zero_dirs, _SHELL_BLOCK)
     poch_signs, poch_logs = poch
-    logfact = _logfact(q1)
-    lps = [_shell_lp(q) for q in range(q0, q1)]
-    sizes = [l.size for l, _ in lps]
-    qs = np.repeat(np.arange(q0, q1), sizes)
-    l = np.concatenate([l for l, _ in lps])
-    p = np.concatenate([p for _, p in lps])
-    k = qs - l - p
-    zero_dirs = [d for d, (is_zero, _) in enumerate(pattern) if is_zero]
-    if zero_dirs:
-        keep = np.ones(l.size, dtype=bool)
-        for d in zero_dirs:
-            keep &= (l, p, k)[d] == 0
-        l, p, k, qs = l[keep], p[keep], k[keep], qs[keep]
-        sizes = np.bincount(qs - q0, minlength=q1 - q0).tolist()
+    q1 = q0 + _SHELL_BLOCK
     garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
     rg_sign, rg_log = signed_log_rgamma(garg)
-    logmag = poch_logs[qs] + rg_log - logfact[l] - logfact[p] - logfact[k]
-    sign = poch_signs[qs] * rg_sign
-    for d, (_, negative) in enumerate(pattern):
+    logmag = np.repeat(poch_logs[q0:q1], sizes) + rg_log - lf_l - lf_p - lf_k
+    sign = np.repeat(poch_signs[q0:q1], sizes) * rg_sign
+    for n, (_, negative) in zip((l, p, k), pattern):
         if negative:
-            sign = sign * np.where((l, p, k)[d] % 2 == 1, -1.0, 1.0)
-    shells = []
-    start = 0
-    for lp, size in zip(lps, sizes):
-        part = slice(start, start + size)
-        start += size
-        if size == 0:
-            shells.append(None)
-        else:
-            sl, sp = (l[part], p[part]) if zero_dirs else lp
-            shells.append((sl, sp, k[part], garg[part], logmag[part], sign[part]))
-    return shells
+            sign = sign * _PARITY[n & 1]
+    return [None if part is None else (l[part], p[part], k[part], garg[part], logmag[part], sign[part]) for part in parts]
+
+
+# Parameter-free index blocks of shells q0 < _TABLE_MAX_Q, keyed by (q0,
+# zero-slot directions, block size): about 48 B per term, 8 MB at most.
+_index_blocks: dict[tuple, tuple] = {}
+
+
+def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
+    """(l, p, k, log l!, log p!, log k!, sizes, parts) of shells q0..q0+size-1.
+
+    The indices of each shell l + p + k = q run over l, then p, with every
+    index in a direction of ``zero_dirs`` pruned to 0.  ``sizes`` lists the
+    terms per shell and ``parts`` each shell's slice of the arrays, or None
+    for a shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept.
+    """
+    key = (q0, zero_dirs, size)
+    if key in _index_blocks:
+        return _index_blocks[key]
+    qs = np.arange(q0, q0 + size)
+    # one row per (q, l), holding the q - l + 1 values of p
+    row_q = np.repeat(qs, qs + 1)
+    row_l = np.arange(row_q.size) - np.repeat(np.cumsum(qs + 1) - (qs + 1), qs + 1)
+    counts = row_q - row_l + 1
+    l = np.repeat(row_l, counts)
+    p = np.arange(l.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    k = np.repeat(row_q, counts) - l - p
+    if zero_dirs:
+        keep = np.logical_and.reduce([(l, p, k)[d] == 0 for d in zero_dirs])
+        l, p, k = l[keep], p[keep], k[keep]
+    sizes = np.bincount(l + p + k - q0, minlength=size)
+    ends = np.cumsum(sizes).tolist()
+    parts = [slice(end - n, end) if n else None for end, n in zip(ends, sizes.tolist())]
+    logfact = _logfact(q0 + size)
+    block = (l, p, k, logfact[l], logfact[p], logfact[k], sizes, parts)
+    if q0 < _TABLE_MAX_Q:
+        for a in block[:7]:  # shared by every caller, and so are the shells' views
+            a.flags.writeable = False
+        block = _index_blocks.setdefault(key, block)
+    return block
 
 
 def _shell_terms(parts, slots, complex_in: bool) -> np.ndarray:

@@ -76,6 +76,35 @@ class TestReciprocalGamma:
         assert sign[2] == 0.0 and logv[2] == -math.inf
         assert sign[3] == 1.0  # Gamma(-1.5) > 0
 
+    @staticmethod
+    def _masked(x):
+        # a trailing pole sends the call through the masked (reflection) path
+        x = np.asarray(x, dtype=float)
+        sign, logv = signed_log_rgamma(np.append(x.ravel(), -1.0))
+        return sign[:-1].reshape(x.shape), logv[:-1].reshape(x.shape)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.linspace(0.5 + 1e-12, 171.5, 1001),  # all positive: the fast path
+            np.array([0.7, -1.0, 2.5, -0.5, 0.0, 0.5, 3.0, -7.0, 40.2]),  # mixed, with poles
+            np.array([]),
+            np.array(2.5),
+            np.array(-1.5),
+        ],
+        ids=["all-positive", "mixed", "empty", "0-d-positive", "0-d-negative"],
+    )
+    def test_fast_path_matches_masked_path(self, x):
+        sign, logv = signed_log_rgamma(x)
+        want_sign, want_logv = self._masked(x)
+        for got, want in ((sign, want_sign), (logv, want_logv)):
+            assert type(got) is np.ndarray and got.shape == x.shape
+            assert got.tobytes() == want.tobytes()
+        # the entries above 1/2 of a mixed input, taken alone, use the fast path
+        pos = x > 0.5
+        fast_sign, fast_logv = signed_log_rgamma(x[pos])
+        assert fast_sign.tobytes() == sign[pos].tobytes() and fast_logv.tobytes() == logv[pos].tobytes()
+
 
 class TestPochhammer:
     @pytest.mark.parametrize(

@@ -560,6 +560,68 @@ class TestShellTable:
         assert got == [serial] * n_threads
 
 
+@pytest.mark.usefixtures("cold_tables")
+class TestIndexBlocks:
+    """The parameter-free index blocks that every shell table is built from."""
+
+    @staticmethod
+    def _bytes(block):
+        *arrays, sizes, parts = block
+        return [a.tobytes() for a in arrays], sizes.tobytes(), parts
+
+    def test_cache_is_bounded_and_parameter_free(self, monkeypatch):
+        monkeypatch.setattr(series, "_index_blocks", {})
+        rng = np.random.default_rng(5)
+        patterns = [(0.7, -0.4, 1.1), (0.0, 0.5, -0.3), (0.6, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3 + 0.2j, 0.0, -0.9)]
+        used = []
+        for block_size in (series._SHELL_BLOCK, 1):
+            with monkeypatch.context() as m:
+                m.setattr(series, "_SHELL_BLOCK", block_size)
+                for _ in range(3):
+                    p = MLParams(*rng.uniform(0.4, 1.4, 3), rng.uniform(-1.0, 2.0), rng.uniform(0.5, 2.0))
+                    for args in patterns:
+                        for max_shell in (5, series._TABLE_MAX_Q + 14):
+                            res = eval_trivariate(p, *[40.0 * z for z in args], SeriesControl(max_shell=max_shell))
+                            used.append(res.shells_used)
+        assert max(used) > series._TABLE_MAX_Q + 1  # the sweep built blocks past the cached range
+        cached = dict(series._index_blocks)
+        assert {size for _, _, size in cached} == {series._SHELL_BLOCK, 1}
+        n_patterns = 2**3
+        assert len(cached) <= n_patterns * sum(series._TABLE_MAX_Q // size for size in (series._SHELL_BLOCK, 1))
+        for (q0, zero_dirs, size), block in cached.items():
+            assert q0 < series._TABLE_MAX_Q and q0 % size == 0
+            l, p, k, *gathers, sizes, parts = block
+            assert len(parts) == size and all(a.size == sizes.sum() for a in (l, p, k, *gathers))
+            assert not any(a.flags.writeable for a in (l, p, k, *gathers, sizes))
+            # the entry is what its key alone builds: no parameter went into it
+            monkeypatch.setattr(series, "_index_blocks", {})
+            assert self._bytes(series._index_block(q0, zero_dirs, size)) == self._bytes(block)
+
+    def test_blocks_past_the_cached_range_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(series, "_index_blocks", {})
+        q0 = series._TABLE_MAX_Q
+        first = series._index_block(q0, (), series._SHELL_BLOCK)
+        assert not series._index_blocks
+        assert self._bytes(series._index_block(q0, (), series._SHELL_BLOCK)) == self._bytes(first)
+
+    def test_shells_enumerate_the_simplex(self):
+        for zero_dirs in [(), (1,), (0, 2), (0, 1, 2)]:
+            l, p, k, lf_l, lf_p, lf_k, sizes, parts = series._index_block(8, zero_dirs, 8)
+            for q, part in zip(range(8, 16), parts):
+                want = [
+                    (a, b, q - a - b)
+                    for a in range(q + 1)
+                    for b in range(q - a + 1)
+                    if all((a, b, q - a - b)[d] == 0 for d in zero_dirs)
+                ]
+                got = [] if part is None else list(zip(l[part].tolist(), p[part].tolist(), k[part].tolist()))
+                assert got == want
+            assert lf_l.tobytes() == series._logfact(16)[l].tobytes()
+            assert lf_p.tobytes() == series._logfact(16)[p].tobytes()
+            assert lf_k.tobytes() == series._logfact(16)[k].tobytes()
+            assert sizes.tolist() == [0 if part is None else part.stop - part.start for part in parts]
+
+
 def _shell_bytes(shells):
     return [None if sh is None else tuple((a.dtype.str, a.tobytes()) for a in sh) for sh in shells]
 

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import brute_univariate
 
-from trivml import series, solver
+from trivml import series, solver, verify
 from trivml.errors import DomainError, SeriesNotConvergedError, SeriesOverflowError
 from trivml.series import SeriesControl, eval_prabhakar
 from trivml.solver import (
@@ -200,6 +200,18 @@ class TestHomogeneousGrid:
             ref = np.array([solve_homogeneous(TAME, float(r), CTRL) for r in grid])
             scale = abs(TAME.y0) * (1.0 + abs(TAME.lambda1) * np.take(sum_abs, np.searchsorted(knots, grid)))
             assert np.all(np.abs(got - ref) <= 8.0 * np.finfo(float).eps * scale)
+
+    def test_solve_matches_grid_on_oracle_agreement_grids(self):
+        # verify's oracle-agreement check takes the closed form from the grid
+        # path; keep solve() on the same values at that check's two grids
+        spec, ctrl = verify._DAMPED, verify._CTRL
+        for h in (1.0 / 128, 1.0 / 256):
+            full = numeric_oracle_solve(spec, None, h, 1.0).grid
+            grid = full[:: max(1, full.size // 33)]
+            trace = solve(spec, None, grid, ctrl)
+            assert trace.converged.all()
+            diff = np.abs(trace.values - _homog_grid(spec, grid, ctrl))
+            assert np.all(diff <= 16.0 * np.finfo(float).eps * abs(spec.y0))
 
     def test_initial_value_exact(self):
         for spec in (TAME, MIXED):
