@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .series import EvalResult, MLParams
+from .series import EvalResult, MLParams, _count
 
 __all__ = ["ContourSpec", "eval_hankel_contour"]
 
@@ -37,6 +37,7 @@ class ContourSpec:
     node_count: int = 64
 
     def __post_init__(self):
+        object.__setattr__(self, "node_count", _count("node_count", self.node_count))
         if self.node_count < 8:
             raise DomainError("node_count must be >= 8")
 

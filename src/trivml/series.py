@@ -11,7 +11,8 @@ total degree.  Term magnitudes are assembled in log space and exponentiated
 once per term; signs (and phases, for complex arguments) ride separately.
 The argument-free part of each shell is built once per parameter set, a
 block of shells per kernel call from a shared parameter-free index block, and
-kept in a small table (:func:`_shells`); a call adds only n log|z| per slot.
+kept in a small table (:func:`_walk`); a call adds only n log|z| per slot, in
+one pass over each block it has just built.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
@@ -29,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +104,17 @@ class SeriesControl:
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
+        object.__setattr__(self, "max_shell", _count("max_shell", self.max_shell))
         if self.max_shell < 1:
             raise DomainError("max_shell must be >= 1")
+
+
+def _count(name: str, value) -> int:
+    """``value`` as an int through ``operator.index``; DomainError for a non-integer."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass
@@ -171,8 +182,8 @@ def _table(params: MLParams, pattern: tuple) -> dict:
     return {}
 
 
-def _shells(params: MLParams, slots, qmax: int):
-    """Argument-free parts (l, p, k, garg, logmag, sign) of shells q = 0..qmax.
+def _walk(params: MLParams, slots, qmax: int):
+    """Argument-free parts (l, p, k, garg, logmag, sign) of shells q = 0..qmax, a block at a time.
 
     ``slots`` holds one :func:`_arg_parts` tuple per index direction (l, p, k);
     only its pattern (is_zero, is negative) enters.  A zero slot prunes every
@@ -181,9 +192,16 @@ def _shells(params: MLParams, slots, qmax: int):
     l! p! k!)| and ``sign`` includes (-1)^n for every negative slot; callers
     add n log|z| per slot.  Stops early once (eta)_q vanishes, at q = 1 - eta
     for a non-positive integer eta, since every later shell is then
-    identically zero.  Blocks missing from the table for (params, pattern) are
-    built by :func:`_shell_block`, so up to ``_SHELL_BLOCK - 1`` shells past
-    the last one read.
+    identically zero.
+
+    Yields one (arrays, shells) pair per block, both ending at the last shell
+    the walk may read.  A block built by this walk below _TABLE_MAX_Q is to
+    be evaluated whole: ``arrays`` holds its six arrays and ``shells`` each
+    shell's slice of them (or None).  Any other block is evaluated shell by
+    shell: ``arrays`` is None and ``shells`` lists the shells' parts (or
+    None).  Blocks missing from the table for (params, pattern) are built by
+    :func:`_shell_block`, so up to ``_SHELL_BLOCK - 1`` shells past the last
+    one read.
     """
     pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
     table = _table(params, pattern)
@@ -194,25 +212,43 @@ def _shells(params: MLParams, slots, qmax: int):
         qend = min(qend, 1 - int(params.eta))
     poch = None
     for q0 in range(0, qend, _SHELL_BLOCK):
-        block = table.get(q0)
-        if block is None:
-            if poch is None:
-                poch = log_pochhammer_table(params.eta, qmax + _SHELL_BLOCK)
-            block = _shell_block(params, pattern, poch, q0)
-            if store and q0 < _TABLE_MAX_Q:
-                block = table.setdefault(q0, block)
-        yield from block[: qend - q0]
+        n = qend - q0
+        shells = table.get(q0)
+        if shells is not None:
+            # Stored blocks stay shell by shell for now (ROADMAP item 1).
+            # Evaluated whole they made solve-homogeneous 1.9x faster, but
+            # perfbench checks every completed op with mpmath after its run,
+            # so a 30 s run took 98 s of wall time instead of 60 s, and its
+            # rss_mb rose 5 %.
+            yield None, shells[:n]
+            continue
+        if poch is None:
+            poch = log_pochhammer_table(params.eta, qmax + _SHELL_BLOCK)
+        arrays, parts = _shell_block(params, pattern, poch, q0)
+        if store and q0 < _TABLE_MAX_Q:
+            table.setdefault(q0, _views(arrays, parts))
+        parts = parts[:n]
+        if q0 >= _TABLE_MAX_Q:
+            # past the stored range a block holds 40,000 terms or more, most
+            # of them past the shell where a long walk stops; evaluated whole,
+            # such blocks slowed cold 132-shell walks in one measurement
+            # (25-35 ms against 23-24 ms)
+            yield None, _views(arrays, parts)
+            continue
+        end = max((part.stop for part in parts if part is not None), default=0)
+        yield tuple(a[:end] for a in arrays), parts
 
 
 _PARITY = np.array([1.0, -1.0])  # (-1)^n, indexed by n & 1
 
 
-def _shell_block(params: MLParams, pattern, poch, q0: int) -> list:
-    """Shells q0..q0+_SHELL_BLOCK-1 of :func:`_shells`, built in one pass.
+def _shell_block(params: MLParams, pattern, poch, q0: int) -> tuple:
+    """Shells q0..q0+_SHELL_BLOCK-1 of :func:`_walk`, built in one pass.
 
     The parameter-free part of the block comes from :func:`_index_block`, so
-    one ``signed_log_rgamma`` call and one elementwise pass cover every term;
-    each shell is then a view of the block's arrays.
+    one ``signed_log_rgamma`` call and one elementwise pass cover every term.
+    Returns the block's arrays (l, p, k, garg, logmag, sign) and each shell's
+    slice of them, or None for a shell that pruning empties.
     """
     zero_dirs = tuple(d for d, (is_zero, _) in enumerate(pattern) if is_zero)
     l, p, k, lf_l, lf_p, lf_k, sizes, parts = _index_block(q0, zero_dirs, _SHELL_BLOCK)
@@ -225,7 +261,12 @@ def _shell_block(params: MLParams, pattern, poch, q0: int) -> list:
     for n, (_, negative) in zip((l, p, k), pattern):
         if negative:
             sign = sign * _PARITY[n & 1]
-    return [None if part is None else (l[part], p[part], k[part], garg[part], logmag[part], sign[part]) for part in parts]
+    return (l, p, k, garg, logmag, sign), parts
+
+
+def _views(arrays, parts) -> list:
+    """Each shell's parts as views of the block's ``arrays``, or None."""
+    return [None if part is None else tuple(a[part] for a in arrays) for part in parts]
 
 
 # Parameter-free index blocks of shells q0 < _TABLE_MAX_Q, keyed by (q0,
@@ -268,7 +309,7 @@ def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
 
 
 def _shell_terms(parts, slots, complex_in: bool) -> np.ndarray:
-    """The terms of one :func:`_shells` entry at the arguments of ``slots``.
+    """The terms of one shell or block of :func:`_walk` at the arguments of ``slots``.
 
     Adds n log|z| to the argument-free logmag for each nonzero slot,
     exponentiates once, and adds the phases for complex arguments.
@@ -352,22 +393,34 @@ def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None
 def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | None = None) -> EvalResult:
     """:func:`eval_trivariate` at ``args`` = (u, v, w).
 
-    When ``kept`` is a list, each shell summed is appended to it as
-    (:func:`_shells` entry, term array), or (None, None) for a shell that
-    pruning emptied.
+    When ``kept`` is a list, each shell summed is appended to it as (parts,
+    terms): a tuple whose first three entries are the shell's l, p and k, and
+    its term array; or (None, None) for a shell that pruning emptied.
     """
     complex_in = any(isinstance(z, complex) and z.imag != 0.0 for z in args)
     slots = tuple(_arg_parts(z) for z in args)
 
     def shells():
-        for parts in _shells(params, slots, ctrl.max_shell):
-            # an overflowing term gives an inf or nan shell, which the sum rejects
+        for arrays, block in _walk(params, slots, ctrl.max_shell):
+            if arrays is None:
+                for parts in block:
+                    # an overflowing term gives an inf or nan shell, which the sum rejects
+                    with np.errstate(over="ignore", invalid="ignore"):
+                        terms = None if parts is None else _shell_terms(parts, slots, complex_in)
+                        shell = 0.0 if terms is None else terms.sum()
+                    if kept is not None:
+                        kept.append((parts, terms))
+                    yield shell
+                continue
+            # one pass over the block's terms; each shell sum is still a
+            # pairwise .sum() over that shell alone, so its bits are unchanged
             with np.errstate(over="ignore", invalid="ignore"):
-                terms = None if parts is None else _shell_terms(parts, slots, complex_in)
-                shell = 0.0 if terms is None else terms.sum()
-            if kept is not None:
-                kept.append((parts, terms))
-            yield shell
+                terms = _shell_terms(arrays, slots, complex_in)
+                sums = [0.0 if part is None else terms[part].sum() for part in block]
+            for part, shell in zip(block, sums):
+                if kept is not None:
+                    kept.append((None, None) if part is None else (tuple(a[part] for a in arrays[:3]), terms[part]))
+                yield shell
 
     try:
         return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0)

@@ -56,5 +56,6 @@ def test_divergence_flag_fires_for_hostile_arguments():
 
 
 def test_node_count_validation():
-    with pytest.raises(DomainError):
-        ContourSpec(node_count=4)
+    for node_count in (4, 64.5, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            ContourSpec(node_count=node_count)

@@ -129,8 +129,10 @@ class TestTrivariate:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 SeriesControl(rel_tol=tol)
-        with pytest.raises(DomainError):
-            SeriesControl(max_shell=0)
+        for max_shell in (0, 5.5, math.nan, math.inf, "5"):
+            with pytest.raises(DomainError):
+                SeriesControl(max_shell=max_shell)
+        assert SeriesControl(max_shell=np.int64(5)).max_shell == 5
         with pytest.raises(DomainError):
             MLParams(0.0, 1.0, 1.0, 1.0, 1.0)
 
@@ -291,13 +293,13 @@ class TestUnivariateGrid:
     def test_one_shell_walk_per_call(self, monkeypatch):
         # the shells at rmax are walked once, for the probe and the coefficients alike
         walks = []
-        real = series._shells
+        real = series._walk
 
         def counting(*args):
             walks.append(args[2])
             return real(*args)
 
-        monkeypatch.setattr(series, "_shells", counting)
+        monkeypatch.setattr(series, "_walk", counting)
         p, lam, rs = _GRID_CASES["all-nonzero"]
         eval_univariate_grid(p, LambdaTriple(*lam), rs, CTRL)
         assert walks == [CTRL.max_shell]
@@ -503,11 +505,37 @@ class TestShellTable:
         assert third == [q0 for q0 in first if q0 >= series._TABLE_MAX_Q]
 
     def test_univariate_grid_warm_matches_cold(self):
+        # the first two calls evaluate freshly built blocks whole, the third
+        # reads the stored blocks shell by shell
         lam = LambdaTriple(-0.6, 0.0, 0.3)
         rs = np.linspace(0.0, 1.5, 9)
         cold_vals, cold_probe = self._cold(lambda: eval_univariate_grid(self.P, lam, rs, CTRL))
-        vals, probe = eval_univariate_grid(self.P, lam, rs, CTRL)
-        assert vals.tobytes() == cold_vals.tobytes() and _bits(probe) == _bits(cold_probe)
+        for _ in range(2):
+            vals, probe = eval_univariate_grid(self.P, lam, rs, CTRL)
+            assert vals.tobytes() == cold_vals.tobytes() and _bits(probe) == _bits(cold_probe)
+        assert _stored_blocks(self.P, tuple(x * rs.max() for x in lam.as_tuple()))
+
+    def test_one_terms_pass_per_fresh_block(self, monkeypatch):
+        # a block built by the walk below the stored range is evaluated in one
+        # _shell_terms call; blocks past it and stored blocks, shell by shell
+        real = series._shell_terms
+        calls = []
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(series, "_shell_terms", counting)
+        p = MLParams(1, 1, 1, 1, 1)  # E(u, v, w) = exp(u + v + w)
+        per_call = []
+        for _ in range(3):  # cold, storing, then read from the table
+            calls.clear()
+            res = eval_trivariate(p, 20.0, 20.0, 20.0, CTRL)
+            per_call.append(len(calls))
+        past = res.shells_used - series._TABLE_MAX_Q
+        assert past > series._SHELL_BLOCK  # the walk reads past the stored range
+        fresh_blocks = series._TABLE_MAX_Q // series._SHELL_BLOCK
+        assert per_call == [fresh_blocks + past, fresh_blocks + past, res.shells_used]
 
     def test_blocks_keep_alive_only_stored_shells(self):
         # a solve reads a few more shells at each larger r, and a budget sweep
@@ -622,7 +650,8 @@ class TestIndexBlocks:
             assert sizes.tolist() == [0 if part is None else part.stop - part.start for part in parts]
 
 
-def _shell_bytes(shells):
+def _shell_bytes(walk):
+    shells = [sh for arrays, block in walk for sh in (block if arrays is None else series._views(arrays, block))]
     return [None if sh is None else tuple((a.dtype.str, a.tobytes()) for a in sh) for sh in shells]
 
 
@@ -663,9 +692,9 @@ class TestBlockBuild:
         p = MLParams(0.9, 1.3, 0.5, -0.7, eta)
         parts = tuple(series._arg_parts(z) for z in self.SLOTS[slots])
         for qmax in range(2 * series._SHELL_BLOCK + 2):
-            want = self._unblocked(monkeypatch, lambda: _shell_bytes(series._shells(p, parts, qmax)))
+            want = self._unblocked(monkeypatch, lambda: _shell_bytes(series._walk(p, parts, qmax)))
             for _ in range(3):  # cold, storing, then read from the table
-                assert _shell_bytes(series._shells(p, parts, qmax)) == want
+                assert _shell_bytes(series._walk(p, parts, qmax)) == want
             series._table.cache_clear()
 
     @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
