@@ -110,11 +110,11 @@ class SeriesControl:
 
 
 def _count(name: str, value) -> int:
-    """``value`` as an int through ``operator.index``; DomainError for a non-integer."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    """``value`` as an int through ``operator.index``; DomainError for a non-integer or a bool."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise DomainError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -195,11 +195,11 @@ def _walk(params: MLParams, slots, qmax: int):
     identically zero.
 
     Yields one (arrays, shells) pair per block, both ending at the last shell
-    the walk may read.  A block built by this walk below _TABLE_MAX_Q is to
-    be evaluated whole: ``arrays`` holds its six arrays and ``shells`` each
-    shell's slice of them (or None).  Any other block is evaluated shell by
-    shell: ``arrays`` is None and ``shells`` lists the shells' parts (or
-    None).  Blocks missing from the table for (params, pattern) are built by
+    the walk may read.  A block built by this walk is to be evaluated whole:
+    ``arrays`` holds its six arrays and ``shells`` each shell's slice of them
+    (or None).  A block read from the table is evaluated shell by shell:
+    ``arrays`` is None and ``shells`` lists the shells' parts (or None).
+    Blocks missing from the table for (params, pattern) are built by
     :func:`_shell_block`, so up to ``_SHELL_BLOCK - 1`` shells past the last
     one read.
     """
@@ -228,13 +228,6 @@ def _walk(params: MLParams, slots, qmax: int):
         if store and q0 < _TABLE_MAX_Q:
             table.setdefault(q0, _views(arrays, parts))
         parts = parts[:n]
-        if q0 >= _TABLE_MAX_Q:
-            # past the stored range a block holds 40,000 terms or more, most
-            # of them past the shell where a long walk stops; evaluated whole,
-            # such blocks slowed cold 132-shell walks in one measurement
-            # (25-35 ms against 23-24 ms)
-            yield None, _views(arrays, parts)
-            continue
         end = max((part.stop for part in parts if part is not None), default=0)
         yield tuple(a[:end] for a in arrays), parts
 

@@ -56,6 +56,6 @@ def test_divergence_flag_fires_for_hostile_arguments():
 
 
 def test_node_count_validation():
-    for node_count in (4, 64.5, math.nan, math.inf):
+    for node_count in (4, 64.5, math.nan, math.inf, True):
         with pytest.raises(DomainError):
             ContourSpec(node_count=node_count)

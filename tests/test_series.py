@@ -129,7 +129,7 @@ class TestTrivariate:
         for tol in (0.0, math.inf, math.nan):
             with pytest.raises(DomainError):
                 SeriesControl(rel_tol=tol)
-        for max_shell in (0, 5.5, math.nan, math.inf, "5"):
+        for max_shell in (0, 5.5, math.nan, math.inf, "5", True):
             with pytest.raises(DomainError):
                 SeriesControl(max_shell=max_shell)
         assert SeriesControl(max_shell=np.int64(5)).max_shell == 5
@@ -516,8 +516,8 @@ class TestShellTable:
         assert _stored_blocks(self.P, tuple(x * rs.max() for x in lam.as_tuple()))
 
     def test_one_terms_pass_per_fresh_block(self, monkeypatch):
-        # a block built by the walk below the stored range is evaluated in one
-        # _shell_terms call; blocks past it and stored blocks, shell by shell
+        # a block built by the walk is evaluated in one _shell_terms call, a
+        # stored block shell by shell
         real = series._shell_terms
         calls = []
 
@@ -534,8 +534,8 @@ class TestShellTable:
             per_call.append(len(calls))
         past = res.shells_used - series._TABLE_MAX_Q
         assert past > series._SHELL_BLOCK  # the walk reads past the stored range
-        fresh_blocks = series._TABLE_MAX_Q // series._SHELL_BLOCK
-        assert per_call == [fresh_blocks + past, fresh_blocks + past, res.shells_used]
+        blocks = -(-res.shells_used // series._SHELL_BLOCK)
+        assert per_call == [blocks, blocks, series._TABLE_MAX_Q + -(-past // series._SHELL_BLOCK)]
 
     def test_blocks_keep_alive_only_stored_shells(self):
         # a solve reads a few more shells at each larger r, and a budget sweep
