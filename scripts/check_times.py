@@ -5,7 +5,9 @@
 
 Runs every check of `run_checks` once to warm the caches, then N rounds of
 `run_checks(only=name)` per check, and prints each check's median time in
-milliseconds followed by the total of those medians.  BLAS is capped at one
+milliseconds followed by the total of those medians.  It then prints the
+median of N whole `run_checks()` calls, the op that the benchmark's
+verify-suite workload times.  BLAS is capped at one
 thread before numpy loads, as in the benchmark.  Run from the root of a
 source checkout; trivml is imported from ./src.
 """
@@ -43,6 +45,12 @@ def main() -> None:
     for name, ms in medians.items():
         print(f"{name:<{width}} {ms:9.2f} ms")
     print(f"{'total':<{width}} {sum(medians.values()):9.2f} ms")
+    whole = []
+    for _ in range(opts.rounds):
+        t0 = time.perf_counter()
+        run_checks()
+        whole.append(time.perf_counter() - t0)
+    print(f"{'run_checks()':<{width}} {1e3 * statistics.median(whole):9.2f} ms")
 
 
 if __name__ == "__main__":

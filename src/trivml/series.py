@@ -320,15 +320,29 @@ def _shell_terms(parts, slots, complex_in: bool) -> np.ndarray:
 _QUIET_SHELLS = 3
 
 
-def _sum_until_quiet(shells, ctrl: SeriesControl, zero) -> EvalResult:
+def _first_live(first: float, step: float) -> int:
+    """The smallest k >= 0 with first + step k > 0 (0 when step <= 0).
+
+    Past it no reciprocal-gamma argument first + step k' (k' >= k) is a pole,
+    so no term is zeroed by one.
+    """
+    if first > 0.0 or step <= 0.0:
+        return 0
+    return math.floor(-first / step) + 1
+
+
+def _sum_until_quiet(shells, ctrl: SeriesControl, zero, q_live: int = 0) -> EvalResult:
     """Sum the shells of a series under the shared stopping rule.
 
     ``shells`` yields shell sums and ends early only for a terminating series.
     Convergence needs ``_QUIET_SHELLS`` successive shells of
     magnitude at most ``rel_tol * max(|partial|, 1)`` and a geometric tail
-    estimate under the same bound.  A shell or partial sum outside the double
-    range raises :class:`SeriesOverflowError`; the budget ``max_shell``
-    returns ``converged=False``.
+    estimate under the same bound.  Shells before ``q_live`` never count as
+    quiet: reciprocal-gamma poles may zero every term of them, so their
+    being small says nothing of the tail (see :func:`_first_live`).  A shell
+    or partial sum outside the double range raises
+    :class:`SeriesOverflowError`; the budget ``max_shell`` returns
+    ``converged=False``.
     """
     partial = zero
     quiet = 0
@@ -347,7 +361,7 @@ def _sum_until_quiet(shells, ctrl: SeriesControl, zero) -> EvalResult:
             if mag > 0.0:
                 last_mags = (last_mags + [mag])[-2:]
 
-            if mag <= ctrl.rel_tol * max(abs(partial), 1.0):
+            if q >= q_live and mag <= ctrl.rel_tol * max(abs(partial), 1.0):
                 quiet += 1
                 if quiet >= _QUIET_SHELLS:
                     est = _tail_estimate(last_mag, last_mags)
@@ -392,6 +406,12 @@ def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | No
     """
     complex_in = any(isinstance(z, complex) and z.imag != 0.0 for z in args)
     slots = tuple(_arg_parts(z) for z in args)
+    q_live = 0
+    if params.delta <= 0.0:
+        # a Gamma argument of shell q is at least delta + q * (the least order
+        # of a direction that pruning keeps); with none, shells past 0 are empty
+        orders = [a for a, slot in zip((params.alpha, params.beta, params.gamma), slots) if not slot[0]]
+        q_live = _first_live(params.delta, min(orders, default=math.inf))
 
     def shells():
         for arrays, block in _walk(params, slots, ctrl.max_shell):
@@ -416,7 +436,7 @@ def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | No
                 yield shell
 
     try:
-        return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0)
+        return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0, q_live)
     except SeriesOverflowError as exc:
         mags = ",".join(f"{abs(z):.3g}" for z in args)
         raise SeriesOverflowError(f"{exc} (params={params}, |u|,|v|,|w|={mags})") from None
@@ -587,7 +607,7 @@ def eval_prabhakar(
             else:
                 yield sign * math.exp(logmag)
 
-    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0)
+    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0, _first_live(delta, alpha))
 
 
 def eval_fox_wright_1psi1(
@@ -651,4 +671,4 @@ def _wright_sum(lam_num, b0: float, m0s, weights, s, ctrl: SeriesControl) -> Eva
                     raise SeriesOverflowError(f"term {k} exceeds the double range")
                 yield val
 
-    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0)
+    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0, _first_live(m0s.min(), b0))

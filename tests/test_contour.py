@@ -59,3 +59,21 @@ def test_node_count_validation():
     for node_count in (4, 64.5, math.nan, math.inf, True):
         with pytest.raises(DomainError):
             ContourSpec(node_count=node_count)
+
+
+@pytest.mark.parametrize("node_count", [9, 33, 65, 67])
+def test_odd_node_counts(node_count):
+    # an odd count gives a half-integer M; no node falls on a pole of cot
+    p = MLParams(0.9, 0.8, 0.7, 1.2, 1.0)
+    ref = eval_trivariate(p, 0.3, 0.1, 0.1, CTRL).value
+    res = eval_hankel_contour(p, 0.3, 0.1, 0.1, ContourSpec(node_count))
+    assert res.shells_used == node_count and math.isfinite(res.abs_error_estimate)
+    if node_count >= 64:
+        assert res.converged
+        assert abs(res.value - ref) <= 1e-8 * max(abs(ref), 1.0)
+
+
+def test_real_arguments_give_a_float():
+    p = MLParams(0.9, 0.8, 0.7, 1.2, 1.0)
+    assert type(eval_hankel_contour(p, 0.3, -0.1, 0.1).value) is float
+    assert type(eval_hankel_contour(p, 0.3 + 0.1j, -0.1, 0.1).value) is complex

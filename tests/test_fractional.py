@@ -37,6 +37,12 @@ class TestNthDerivative:
         got = nth_derivative_univariate(MLParams(1, 1, 1, 1, 1), LambdaTriple(1, 1, 1), 1, 1.0, CTRL)
         assert got == pytest.approx(3.0 * math.exp(3.0), rel=1e-12)
 
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_order_of_exp(self, n):
+        # from n = 3 on the shifted delta puts the first shells on Gamma poles
+        got = nth_derivative_univariate(MLParams(1, 1, 1, 1, 1), LambdaTriple(1, 0, 0), n, 1.0, CTRL)
+        assert got == pytest.approx(math.e, rel=1e-13)
+
     def test_against_finite_difference(self, rng):
         for _ in range(10):
             p = tame_params(rng)

@@ -6,6 +6,7 @@ import pytest
 from conftest import tame_lambdas, tame_params
 from oracles import laplace_forward_quadrature, laplace_forward_truncated
 
+from trivml import laplace
 from trivml.errors import DomainError, ParameterMismatchError, SingularTransformError, TalbotDivergenceError
 from trivml.laplace import (
     TransformValue,
@@ -67,8 +68,28 @@ class TestClosedForm:
 
     def test_branch_cut_rejected(self):
         p = MLParams(1, 1, 1, 1, 1)
+        for s in (-2.0, np.array([1.0 + 1.0j, 0.0])):
+            with pytest.raises(DomainError):
+                laplace_closed_form(p, LambdaTriple(0, 0, 0), s)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, complex(math.nan, 1.0), complex(1.0, math.inf)])
+    def test_non_finite_s_rejected(self, s):
+        p = MLParams(1, 1, 1, 1, 1)
         with pytest.raises(DomainError):
-            laplace_closed_form(p, LambdaTriple(0, 0, 0), -2.0)
+            laplace_closed_form(p, LambdaTriple(0.5, 0, 0), s)
+        with pytest.raises(DomainError):
+            laplace_closed_form(p, LambdaTriple(0.5, 0, 0), np.array([2.0, s]))
+
+    def test_array_matches_scalar_calls(self, rng):
+        p = tame_params(rng)
+        lam = tame_lambdas(rng)
+        s = np.array([[0.5, 2.0 + 1.0j, 7.0 - 3.0j], [-4.0 + 0.5j, 30.0, 1e-3j]])
+        got = laplace_closed_form(p, lam, s)
+        assert got.shape == s.shape
+        # numpy may take other loops for a 0-d array, so the bits can differ
+        ref = np.array([[laplace_closed_form(p, lam, z) for z in row] for row in s.tolist()])
+        assert np.all(np.abs(got - ref) <= 4 * np.finfo(float).eps * np.abs(ref))
+        assert type(laplace_closed_form(p, lam, 2.0)) is complex
 
     def test_transform_at_bundles_abscissa(self):
         p = MLParams(1, 1, 1, 1.0, 1.0)
@@ -119,6 +140,55 @@ class TestTalbot:
         with pytest.raises(DomainError):
             talbot_invert(lambda s: 1.0 / s, 1.0, nodes=4)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, -1.0, np.array([0.5, math.inf]), np.array([0.5, 0.0])])
+    def test_non_finite_or_non_positive_t_rejected(self, t):
+        with pytest.raises(DomainError):
+            talbot_invert(lambda s: 1.0 / s, t)
+
+    @pytest.mark.parametrize("nodes", [48.5, math.nan, math.inf, True, "48"])
+    def test_node_count_must_be_an_integer(self, nodes):
+        with pytest.raises(DomainError, match="integer"):
+            talbot_invert(lambda s: 1.0 / s, 1.0, nodes=nodes)
+
+    def test_array_of_times_matches_one_call_per_time(self, rng):
+        p = tame_params(rng)
+        lam = tame_lambdas(rng)
+        ts = np.array([0.25, 0.5, 1.0, 1.5])
+        got = talbot_invert(lambda s: laplace_closed_form(p, lam, s), ts)
+        assert got.shape == ts.shape
+        assert got.tolist() == [talbot_invert(lambda s: laplace_closed_form(p, lam, s), t) for t in ts.tolist()]
+        assert type(talbot_invert(lambda s: 1.0 / s, 1.0)) is float
+
+    def test_transform_called_once_per_rule(self):
+        shapes = []
+
+        def F(s):
+            shapes.append(s.shape)
+            return 1.0 / s
+
+        talbot_invert(F, np.array([0.5, 1.0, 2.0]), nodes=48)
+        assert shapes == [(3, 24), (3, 48)]
+
+    def test_half_contour_matches_full_contour(self, rng):
+        # real data: the half contour with conjugate symmetry is the full
+        # rule; both carry roundoff of about exp(2m/5) eps, so m stays small
+        for _ in range(4):
+            p = tame_params(rng)
+            lam = tame_lambdas(rng)
+            ts = np.array([0.25, 0.5, 1.0, 1.5])
+            for m in (16, 16.5, 24):
+                half, full = (
+                    laplace._talbot(lambda s: laplace_closed_form(p, lam, s), ts, 2 * m / (5 * ts), m, real)
+                    for real in (True, False)
+                )
+                assert np.all(np.abs(half - full) <= 1e-13 * np.maximum(np.abs(full), 1.0))
+
+    def test_overflowing_transform_flags_divergence(self):
+        # e^(s^3) leaves the double range on the contour: the result is
+        # flagged, not returned as inf or nan
+        with pytest.raises(TalbotDivergenceError):
+            talbot_invert(lambda s: np.exp(s**3), 1.0)
+
 
 class TestConvolution:
     def test_ones_convolve_to_r(self):
@@ -145,6 +215,28 @@ class TestConvolution:
                 ref = convolution_closed_form(p1, p2, lam, r, CTRL)
                 got = convolve_numeric(p1, p2, lam, r, n=512, ctrl=CTRL)
                 assert abs(got - ref) <= 1e-6 * max(abs(ref), 1.0)
+
+    def test_array_of_r_matches_closed_form(self, rng):
+        a, b, g = rng.uniform(0.5, 1.5, 3)
+        p1 = MLParams(a, b, g, 1.3, 0.9)
+        p2 = MLParams(a, b, g, 0.8, 1.4)
+        lam = tame_lambdas(rng)
+        rs = np.array([0.3, 0.6, 1.0])
+        got = convolve_numeric(p1, p2, lam, rs, n=512, ctrl=CTRL)
+        refs = convolution_closed_form(p1, p2, lam, rs, CTRL)
+        assert got.shape == refs.shape == rs.shape
+        for r, val, ref in zip(rs.tolist(), got.tolist(), refs.tolist()):
+            assert abs(val - ref) <= 1e-6 * max(abs(ref), 1.0)
+            assert val == pytest.approx(convolve_numeric(p1, p2, lam, r, n=512, ctrl=CTRL), rel=1e-13)
+            assert ref == pytest.approx(convolution_closed_form(p1, p2, lam, r, CTRL), rel=1e-13)
+
+    @pytest.mark.parametrize("r", [0.0, math.inf, math.nan, np.array([0.5, -0.1])])
+    def test_non_finite_or_non_positive_r_rejected(self, r):
+        p = MLParams(0.9, 0.7, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            convolve_numeric(p, p, LambdaTriple(0, 0, 0), r)
+        with pytest.raises(DomainError):
+            convolution_closed_form(p, p, LambdaTriple(0, 0, 0), r)
 
     def test_parameter_mismatch(self):
         p1 = MLParams(0.9, 0.7, 0.5, 1.0, 1.0)

@@ -159,6 +159,53 @@ class TestStoppingRule:
             assert "params=MLParams(" in str(info.value) and "|u|,|v|,|w|=710," in str(info.value)
 
 
+# the estimates bound truncation only; summing some thirty positive shells
+# adds a few ulps of rounding on top
+ROUNDING = 16 * np.finfo(float).eps
+
+
+class TestLeadingPoleShells:
+    # with delta = -n every term of shells q < n + 1 sits on a Gamma pole, so
+    # the first shells are exactly zero; at alpha = beta = gamma = 1 the
+    # series is sum_{q > n} 3^q / (q - n - 1)! = 3^(n+1) e^3 at u = v = w = 1
+    @pytest.mark.parametrize("delta", [-2.0, -3.0, -4.0])
+    def test_trivariate_sums_past_the_zero_shells(self, delta):
+        res = eval_trivariate(MLParams(1, 1, 1, delta, 1), 1.0, 1.0, 1.0, CTRL)
+        expected = 3.0 ** (1 - delta) * math.exp(3.0)
+        assert res.converged and abs(res.value - expected) <= res.abs_error_estimate + ROUNDING * expected
+
+    @pytest.mark.parametrize("delta", [-2.0, -3.0, -4.0])
+    def test_prabhakar_sums_past_the_zero_terms(self, delta):
+        res = eval_prabhakar(1.0, delta, 1.0, 3.0, CTRL)
+        expected = 3.0 ** (1 - delta) * math.exp(3.0)
+        assert res.converged and abs(res.value - expected) <= res.abs_error_estimate + ROUNDING * expected
+
+    def test_fox_wright_sums_past_the_zero_terms(self):
+        # Gamma(1 + k) 3^k / (Gamma(k - 2) k!) = 3^k / (k - 3)!
+        res = eval_fox_wright_1psi1((1.0, 1.0), (-2.0, 1.0), 3.0, CTRL)
+        expected = 27.0 * math.exp(3.0)
+        assert res.converged and abs(res.value - expected) <= res.abs_error_estimate + ROUNDING * expected
+
+    def test_grid_sums_past_the_zero_shells(self):
+        # r^(-3) E(r, 0, 0) at delta = -2 is r^(-3) r^3 e^r = e^r
+        rs = np.array([0.5, 1.0])
+        vals, probe = eval_univariate_grid(MLParams(1, 1, 1, -2.0, 1), LambdaTriple(1, 0, 0), rs, CTRL)
+        assert probe.converged
+        np.testing.assert_allclose(vals, np.exp(rs), rtol=1e-13)
+
+    def test_pole_free_start(self):
+        assert series._first_live(0.5, 1.0) == 0
+        assert series._first_live(-2.0, 1.0) == 3
+        assert series._first_live(-2.0, 0.7) == 3
+        assert series._first_live(0.0, 0.4) == 1
+        assert series._first_live(-1.0, 0.0) == 0  # no step: the argument never turns positive
+        assert series._first_live(0.0, math.inf) == 1  # no live direction: only shell 0 has terms
+
+    def test_all_zero_arguments_at_a_pole(self):
+        res = eval_trivariate(MLParams(1, 1, 1, -2.0, 1), 0.0, 0.0, 0.0, CTRL)
+        assert res.converged and res.value == 0.0
+
+
 class TestUnivariate:
     def test_delta_one_zero_lambdas(self):
         res = eval_univariate(MLParams(0.8, 0.6, 0.4, 1.0, 1.0), LambdaTriple(0, 0, 0), 0.7)
