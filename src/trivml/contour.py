@@ -18,7 +18,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
 from .laplace import _talbot, _transform
 from .series import EvalResult, MLParams, _count
 
@@ -40,9 +39,7 @@ class ContourSpec:
     node_count: int = 64
 
     def __post_init__(self):
-        object.__setattr__(self, "node_count", _count("node_count", self.node_count))
-        if self.node_count < 8:
-            raise DomainError("node_count must be >= 8")
+        object.__setattr__(self, "node_count", _count("node_count", self.node_count, 8))
 
 
 def eval_hankel_contour(

@@ -150,9 +150,7 @@ def talbot_invert(F: Callable[[np.ndarray], np.ndarray], t, nodes: int = 48):
     exp(2n/5), so past the accuracy sweet spot this check fires even though
     the half-count answer may be excellent.
     """
-    nodes = _count("nodes", nodes)
-    if nodes < 8:
-        raise DomainError(f"need at least 8 nodes, got {nodes}")
+    nodes = _count("nodes", nodes, 8)
     ts = _positive("t", t)
     coarse, fine = (_talbot(F, ts, 2.0 * n / (5.0 * ts), n, True) for n in (nodes // 2, nodes))
     change = np.abs(fine - coarse)
@@ -206,7 +204,7 @@ def convolve_numeric(
     the independent check of the closed form.
     """
     rs = _positive("r", r)
-    x, w = jacobi_01(n, p2.delta - 1.0, p1.delta - 1.0)
+    x, w = jacobi_01(_count("n", n, 1), p2.delta - 1.0, p1.delta - 1.0)
     s1, s2 = np.multiply.outer(rs, x), np.multiply.outer(rs, 1.0 - x)
     f1, probe1 = eval_univariate_grid(p1, lam, s1, ctrl)
     f2, probe2 = eval_univariate_grid(p2, lam, s2, ctrl)

@@ -11,13 +11,16 @@ total degree.  Term magnitudes are assembled in log space and exponentiated
 once per term; signs (and phases, for complex arguments) ride separately.
 The argument-free part of each shell is built once per parameter set, a
 block of shells per kernel call from a shared parameter-free index block, and
-kept in a small table (:func:`_walk`); a call adds only n log|z| per slot, in
-one pass over each block it has just built.
+kept in a small table (:func:`_walk`); a call adds only n log|z| per slot.
+The walk yields units of one format, a block it has just built or a single
+stored shell, and each unit is evaluated in one pass.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
 (:func:`_sum_until_quiet`): a budget hit returns ``converged=False``, and a
 shell or partial sum outside the double range raises SeriesOverflowError.
+The rule also holds the one numpy error scope of the summation, so the terms
+it draws may overflow to inf or nan without a warning before it rejects them.
 
 Parameters are restricted to real values; only the series arguments u, v, w
 may be complex.  Negative ``eta`` is allowed (the series terminates when eta
@@ -104,17 +107,21 @@ class SeriesControl:
     def __post_init__(self):
         if not (math.isfinite(self.rel_tol) and self.rel_tol > 0.0):
             raise DomainError(f"rel_tol must be positive and finite, got {self.rel_tol}")
-        object.__setattr__(self, "max_shell", _count("max_shell", self.max_shell))
-        if self.max_shell < 1:
-            raise DomainError("max_shell must be >= 1")
+        object.__setattr__(self, "max_shell", _count("max_shell", self.max_shell, 1))
 
 
-def _count(name: str, value) -> int:
-    """``value`` as an int through ``operator.index``; DomainError for a non-integer or a bool."""
+def _count(name: str, value, least: int) -> int:
+    """``value`` as an int through ``operator.index``.
+
+    DomainError for a non-integer, a bool or a value below ``least``.
+    """
+    n = None
     if not isinstance(value, bool):
         with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise DomainError(f"{name} must be an integer, got {value!r}")
+            n = operator.index(value)
+    if n is None or n < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return n
 
 
 @dataclass
@@ -130,19 +137,6 @@ class EvalResult:
     abs_error_estimate: float
     shells_used: int
     converged: bool
-
-
-# module-level caches: replaced atomically, contents immutable once stored,
-# so concurrent readers at worst recompute a table (benign under the GIL)
-_logfact_table = gammaln(np.arange(128) + 1.0)
-
-
-def _logfact(n: int) -> np.ndarray:
-    """Table of log(q!) for q = 0..n, grown on demand."""
-    global _logfact_table
-    if n >= _logfact_table.size:
-        _logfact_table = gammaln(np.arange(2 * n + 2) + 1.0)
-    return _logfact_table
 
 
 # Shells q < _TABLE_MAX_Q are cached, both their index blocks and, per
@@ -194,14 +188,14 @@ def _walk(params: MLParams, slots, qmax: int):
     for a non-positive integer eta, since every later shell is then
     identically zero.
 
-    Yields one (arrays, shells) pair per block, both ending at the last shell
-    the walk may read.  A block built by this walk is to be evaluated whole:
-    ``arrays`` holds its six arrays and ``shells`` each shell's slice of them
-    (or None).  A block read from the table is evaluated shell by shell:
-    ``arrays`` is None and ``shells`` lists the shells' parts (or None).
-    Blocks missing from the table for (params, pattern) are built by
-    :func:`_shell_block`, so up to ``_SHELL_BLOCK - 1`` shells past the last
-    one read.
+    Yields units of one format, (arrays, parts): six arrays to be evaluated
+    in one pass and each shell's slice of them, or None for a shell that
+    pruning empties.  A block built by this walk is one unit, clipped at the
+    last shell the walk may read.  A shell read from the table is a unit of
+    its own, its stored arrays with the one slice ``slice(None)``, so stored
+    blocks are still evaluated shell by shell.  Blocks missing from the
+    table for (params, pattern) are built by :func:`_shell_block`, so up to
+    ``_SHELL_BLOCK - 1`` shells past the last one read.
     """
     pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
     table = _table(params, pattern)
@@ -220,7 +214,8 @@ def _walk(params: MLParams, slots, qmax: int):
             # perfbench checks every completed op with mpmath after its run,
             # so a 30 s run took 98 s of wall time instead of 60 s, and its
             # rss_mb rose 5 %.
-            yield None, shells[:n]
+            for shell in shells[:n]:
+                yield (_NO_TERMS, (None,)) if shell is None else (shell, (slice(None),))
             continue
         if poch is None:
             poch = log_pochhammer_table(params.eta, qmax + _SHELL_BLOCK)
@@ -233,6 +228,7 @@ def _walk(params: MLParams, slots, qmax: int):
 
 
 _PARITY = np.array([1.0, -1.0])  # (-1)^n, indexed by n & 1
+_NO_TERMS = (np.empty(0),) * 6  # the arrays of a stored shell that pruning empties
 
 
 def _shell_block(params: MLParams, pattern, poch, q0: int) -> tuple:
@@ -292,7 +288,7 @@ def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
     sizes = np.bincount(l + p + k - q0, minlength=size)
     ends = np.cumsum(sizes).tolist()
     parts = [slice(end - n, end) if n else None for end, n in zip(ends, sizes.tolist())]
-    logfact = _logfact(q0 + size)
+    logfact = gammaln(np.arange(q0 + size) + 1.0)
     block = (l, p, k, logfact[l], logfact[p], logfact[k], sizes, parts)
     if q0 < _TABLE_MAX_Q:
         for a in block[:7]:  # shared by every caller, and so are the shells' views
@@ -302,7 +298,7 @@ def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
 
 
 def _shell_terms(parts, slots, complex_in: bool) -> np.ndarray:
-    """The terms of one shell or block of :func:`_walk` at the arguments of ``slots``.
+    """The terms of one unit of :func:`_walk` at the arguments of ``slots``.
 
     Adds n log|z| to the argument-free logmag for each nonzero slot,
     exponentiates once, and adds the phases for complex arguments.
@@ -342,14 +338,15 @@ def _sum_until_quiet(shells, ctrl: SeriesControl, zero, q_live: int = 0) -> Eval
     being small says nothing of the tail (see :func:`_first_live`).  A shell
     or partial sum outside the double range raises
     :class:`SeriesOverflowError`; the budget ``max_shell`` returns
-    ``converged=False``.
+    ``converged=False``.  ``shells`` runs with numpy's overflow and invalid
+    warnings off: a term that overflows gives an inf or nan shell, which the
+    sum rejects.
     """
     partial = zero
     quiet = 0
     last_mag = 0.0  # magnitude of the most recent shell, zero or not
     last_mags: list[float] = []  # magnitudes of the last two nonzero shells
-    # numpy shells turn an overflowing partial sum into inf, checked below
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         for q in range(ctrl.max_shell + 1):
             shell = next(shells, None)
             if shell is None:
@@ -414,26 +411,14 @@ def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | No
         q_live = _first_live(params.delta, min(orders, default=math.inf))
 
     def shells():
-        for arrays, block in _walk(params, slots, ctrl.max_shell):
-            if arrays is None:
-                for parts in block:
-                    # an overflowing term gives an inf or nan shell, which the sum rejects
-                    with np.errstate(over="ignore", invalid="ignore"):
-                        terms = None if parts is None else _shell_terms(parts, slots, complex_in)
-                        shell = 0.0 if terms is None else terms.sum()
-                    if kept is not None:
-                        kept.append((parts, terms))
-                    yield shell
-                continue
-            # one pass over the block's terms; each shell sum is still a
-            # pairwise .sum() over that shell alone, so its bits are unchanged
-            with np.errstate(over="ignore", invalid="ignore"):
-                terms = _shell_terms(arrays, slots, complex_in)
-                sums = [0.0 if part is None else terms[part].sum() for part in block]
-            for part, shell in zip(block, sums):
+        for arrays, parts in _walk(params, slots, ctrl.max_shell):
+            # one pass over the unit's terms; each shell sum is a pairwise
+            # .sum() over that shell alone, so its bits do not depend on the unit
+            terms = _shell_terms(arrays, slots, complex_in)
+            for part in parts:
                 if kept is not None:
                     kept.append((None, None) if part is None else (tuple(a[part] for a in arrays[:3]), terms[part]))
-                yield shell
+                yield 0.0 if part is None else terms[part].sum()
 
     try:
         return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0, q_live)
@@ -652,17 +637,16 @@ def _wright_sum(lam_num, b0: float, m0s, weights, s, ctrl: SeriesControl) -> Eva
             ks = np.arange(k0, min(k0 + _TERM_BLOCK, n))
             n_sign, n_rlog = signed_log_rgamma(l0 + a0 * ks)
             rg_sign, rg_log = signed_log_rgamma(m0s + b0 * ks[:, None])
-            head = -n_rlog - _logfact(ks[-1])[ks]
+            head = -n_rlog - gammaln(ks + 1.0)
             if not zs:
                 head = head + ks * log_s
             if sg_s < 0.0:
                 n_sign = np.where(ks % 2 == 1, -n_sign, n_sign)
             # a pole or overflowing row gives inf or nan terms, raised on below
-            with np.errstate(over="ignore", invalid="ignore"):
-                logmag = head[:, None] + rg_log
-                vals = (weights * rg_sign * np.exp(logmag)).sum(axis=1) * n_sign
-                if complex_in:
-                    vals = vals * (np.cos(ks * ph_s) + 1j * np.sin(ks * ph_s))
+            logmag = head[:, None] + rg_log
+            vals = (weights * rg_sign * np.exp(logmag)).sum(axis=1) * n_sign
+            if complex_in:
+                vals = vals * (np.cos(ks * ph_s) + 1j * np.sin(ks * ph_s))
             over = (logmag > _EXP_MAX).any(axis=1)
             for k, val, pole, big in zip(ks.tolist(), vals.tolist(), (n_sign == 0.0).tolist(), over.tolist()):
                 if pole:

@@ -28,6 +28,8 @@ from .series import (
     MLParams,
     SeriesControl,
     _EXP_MAX,
+    _count,
+    _sum_until_quiet,
     _wright_sum,
     eval_univariate,
     eval_univariate_grid,
@@ -95,9 +97,11 @@ class Forcing:
         g = np.asarray(g, dtype=float)
         if r.ndim != 1 or r.shape != g.shape or r.size < 2:
             raise DomainError("table needs matching 1-d r and g with >= 2 rows")
+        if not (np.isfinite(r).all() and np.isfinite(g).all()):
+            raise DomainError("table r and g must be finite")
         if r[0] != 0.0:
             raise DomainError("table must start at r = 0")
-        if np.diff(r).min() <= 0.0:
+        if not (np.diff(r) > 0.0).all():
             raise DomainError("table abscissae must be strictly increasing")
         return cls(table=(r, g))
 
@@ -201,7 +205,8 @@ def solve_homogeneous_fox_wright(
     series: each (l, p) row enters with its prefactor times the factors 1,
     -x3 and -l2 r^(alpha-gamma) of its three denominators.  The weights are
     divided by the largest of them, so the series' stopping rule sees a
-    partial sum of order one.  Entirely independent of the trivariate shell
+    partial sum of order one.  The blocks are summed under the same stopping
+    rule at ``rel_tol`` 1e-14.  Entirely independent of the trivariate shell
     engine; used to cross-check it.
     """
     if r < 0.0:
@@ -222,36 +227,35 @@ def solve_homogeneous_fox_wright(
     lam1, lam2 = spec.lambda1, spec.lambda2
     log_lam1, log_lam2 = (math.log(abs(x)) if x else 0.0 for x in (lam1, lam2))
     log_r = math.log(r)
-    total = 0.0
-    quiet = 0
-    for d in range(ctrl.max_shell + 1):
-        l = np.arange(d + 1)
-        l = l[((lam1 != 0.0) | (l == 0)) & ((lam2 != 0.0) | (l == d))]
-        p = d - l
-        expo = ab * d + spec.beta * l + bg * p
-        logpre = l * log_lam1 + p * log_lam2 - gammaln(l + 1.0) - gammaln(p + 1.0) + expo * log_r
-        if (logpre > _EXP_MAX).any():
-            raise SeriesOverflowError(f"a prefactor of block d={d} leaves the double range")
-        sign = np.where((lam1 < 0.0) & (l % 2 == 1), -1.0, 1.0) * np.where((lam2 < 0.0) & (p % 2 == 1), -1.0, 1.0)
-        weights = np.outer(factors, sign * np.exp(logpre)).ravel()
-        scale = float(np.abs(weights).max(initial=0.0))
-        block = 0.0
-        if scale > 0.0:
+
+    def blocks():
+        for d in range(ctrl.max_shell + 1):
+            l = np.arange(d + 1)
+            l = l[((lam1 != 0.0) | (l == 0)) & ((lam2 != 0.0) | (l == d))]
+            p = d - l
+            expo = ab * d + spec.beta * l + bg * p
+            logpre = l * log_lam1 + p * log_lam2 - gammaln(l + 1.0) - gammaln(p + 1.0) + expo * log_r
+            if (logpre > _EXP_MAX).any():
+                raise SeriesOverflowError(f"a prefactor of block d={d} leaves the double range")
+            sign = np.where((lam1 < 0.0) & (l % 2 == 1), -1.0, 1.0) * np.where((lam2 < 0.0) & (p % 2 == 1), -1.0, 1.0)
+            weights = np.outer(factors, sign * np.exp(logpre)).ravel()
+            scale = float(np.abs(weights).max(initial=0.0))
+            if scale == 0.0:
+                yield 0.0
+                continue
             c0 = expo + 1.0
             res = _wright_sum((d + 1.0, 1.0), ab, np.concatenate((c0, c0 + ab, c0 + ag)), weights / scale, x3, ctrl)
             if not res.converged:
                 raise SeriesNotConvergedError("1Psi1 factor did not converge")
-            block = scale * res.value
-        total += block
-        if not math.isfinite(total):
-            raise SeriesOverflowError(f"the block sum leaves the double range at d={d}")
-        if abs(block) <= 1e-14 * max(abs(total), 1.0):
-            quiet += 1
-            if quiet >= 3:
-                return total * spec.y0
-        else:
-            quiet = 0
-    raise SeriesNotConvergedError("block sum over the first two directions did not settle")
+            yield scale * res.value
+
+    try:
+        res = _sum_until_quiet(blocks(), SeriesControl(1e-14, ctrl.max_shell), 0.0)
+    except SeriesOverflowError as exc:
+        raise SeriesOverflowError(f"{exc} (the block sum over d = l + p, r={r})") from None
+    if not res.converged:
+        raise SeriesNotConvergedError("block sum over the first two directions did not settle")
+    return res.value * spec.y0
 
 
 def particular_solution(
@@ -269,6 +273,7 @@ def particular_solution(
     Raises :class:`QuadratureError` when node doubling (half to full count)
     moves the result by more than 1e-6 relative.
     """
+    quad_nodes = _count("quad_nodes", quad_nodes, 1)
     if r < 0.0:
         raise DomainError(f"requires r >= 0, got {r}")
     if r < 1e-14:
@@ -305,9 +310,11 @@ def solve(
     """Superposition of the homogeneous closed form and the particular integral.
 
     Evaluates every grid point; a point whose series overflows or misses the
-    shell budget, or whose quadrature fails, is recorded as NaN with an
-    infinite error estimate and a False converged flag.
+    shell budget, whose quadrature fails, or whose value is not finite is
+    recorded as NaN with an infinite error estimate and a False converged
+    flag.
     """
+    quad_nodes = _count("quad_nodes", quad_nodes, 1)
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size < 1 or grid[0] != 0.0:
         raise DomainError("grid must be 1-d and start at 0")
@@ -323,6 +330,7 @@ def solve(
             ok = res.converged
             if g is not None and r > 0.0 and ok:
                 val += particular_solution(spec, g, float(r), quad_nodes, ctrl)
+            ok = ok and math.isfinite(val)
         except (SeriesOverflowError, SeriesNotConvergedError, QuadratureError):
             ok = False
         values[i] = val if ok else math.nan

@@ -195,6 +195,21 @@ class TestSolve:
         assert code == 4
         assert not out_file.exists()  # no partial output
 
+    @pytest.mark.parametrize("row", ["0.5,nan", "nan,1.0", "0.5,inf"])
+    def test_non_finite_forcing_row_exit_2(self, capsys, tmp_path, row):
+        # a non-finite sample would give NaN rows with finite abs_err and exit 0
+        forcing = tmp_path / "g.csv"
+        forcing.write_text(f"r,g\n0.0,1.0\n{row}\n1.0,1.0\n")
+        out_file = tmp_path / "trace.csv"
+        code, _, err = run_cli(
+            capsys, "solve", "--alpha", "0.8", "--beta", "0.6", "--gamma", "0.4",
+            "--lambda1", "0", "--lambda2", "0", "--lambda3", "0", "--y0", "0",
+            "--t-max", "1", "--n-points", "4", "--forcing", str(forcing),
+            "--out", str(out_file),
+        )
+        assert code == 2 and "must be finite" in err
+        assert not out_file.exists()
+
     def test_bad_forcing_header_exit_4(self, capsys, tmp_path):
         forcing = tmp_path / "g.csv"
         forcing.write_text("time,value\n0.0,1.0\n1.0,1.0\n")

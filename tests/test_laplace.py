@@ -238,6 +238,12 @@ class TestConvolution:
         with pytest.raises(DomainError):
             convolution_closed_form(p, p, LambdaTriple(0, 0, 0), r)
 
+    @pytest.mark.parametrize("n", [0, 5.5, True, "64"])
+    def test_node_count_validation(self, n):
+        p = MLParams(0.9, 0.7, 0.5, 1.0, 1.0)
+        with pytest.raises(DomainError, match="n must be an integer >= 1"):
+            convolve_numeric(p, p, LambdaTriple(0, 0, 0), 0.5, n=n)
+
     def test_parameter_mismatch(self):
         p1 = MLParams(0.9, 0.7, 0.5, 1.0, 1.0)
         p2 = MLParams(0.9, 0.7, 0.4, 1.0, 1.0)

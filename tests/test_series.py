@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from conftest import tame_lambdas, tame_params
 from oracles import brute_bivariate, brute_prabhakar, brute_trivariate, brute_univariate
@@ -485,6 +486,21 @@ class TestShellTable:
                 eval_trivariate(self.P, *filler, CTRL)
             assert [_bits(eval_trivariate(self.P, *a, CTRL)) for a in readers] == cold
 
+    @pytest.mark.parametrize("filler, reader", [
+        ((1.0, -1.0, 1.0), (1e30, -1e30, 1.0)),
+        ((0.5j, 1.0, 1.0), (1e30j, 1.0, 1.0)),
+    ])
+    def test_stored_shell_overflow_raises_without_warning(self, filler, reader):
+        # stored shells are summed under the stopping rule's one error scope:
+        # their inf terms (and the nan of inf - inf, or of an inf phase
+        # product) must raise, not warn, which pytest turns into an error
+        p = MLParams(0.3, 0.3, 0.3, 1.0, 1.0)
+        for _ in range(2):
+            eval_trivariate(p, *filler, CTRL)
+        assert _stored_blocks(p, reader)
+        with pytest.raises(SeriesOverflowError):
+            eval_trivariate(p, *reader, CTRL)
+
     def test_params_are_part_of_the_key(self):
         cold = self._cold(lambda: _bits(eval_trivariate(self.P, 0.7, 0.4, 1.1, CTRL)))
         for _ in range(2):
@@ -691,14 +707,14 @@ class TestIndexBlocks:
                 ]
                 got = [] if part is None else list(zip(l[part].tolist(), p[part].tolist(), k[part].tolist()))
                 assert got == want
-            assert lf_l.tobytes() == series._logfact(16)[l].tobytes()
-            assert lf_p.tobytes() == series._logfact(16)[p].tobytes()
-            assert lf_k.tobytes() == series._logfact(16)[k].tobytes()
+            assert lf_l.tobytes() == gammaln(l + 1.0).tobytes()
+            assert lf_p.tobytes() == gammaln(p + 1.0).tobytes()
+            assert lf_k.tobytes() == gammaln(k + 1.0).tobytes()
             assert sizes.tolist() == [0 if part is None else part.stop - part.start for part in parts]
 
 
 def _shell_bytes(walk):
-    shells = [sh for arrays, block in walk for sh in (block if arrays is None else series._views(arrays, block))]
+    shells = [sh for arrays, parts in walk for sh in series._views(arrays, parts)]
     return [None if sh is None else tuple((a.dtype.str, a.tobytes()) for a in sh) for sh in shells]
 
 

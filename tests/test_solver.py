@@ -273,6 +273,20 @@ class TestSolve:
         assert math.isnan(trace.values[1])
         assert trace.abs_err[1] == math.inf and not trace.converged[1]
 
+    def test_non_finite_forcing_value_is_not_converged(self):
+        trace = solve(MIXED, Forcing.from_callable(lambda r: math.nan), np.linspace(0.0, 0.5, 3), CTRL)
+        assert trace.values[0] == MIXED.y0 and trace.converged[0]  # g is not sampled at r = 0
+        assert np.isnan(trace.values[1:]).all()
+        assert (trace.abs_err[1:] == math.inf).all() and not trace.converged[1:].any()
+
+    @pytest.mark.parametrize("quad_nodes", [0, -3, 5.5, True, "64"])
+    def test_quad_nodes_validation(self, quad_nodes):
+        g = Forcing.from_callable(lambda r: 1.0)
+        with pytest.raises(DomainError, match="quad_nodes must be an integer >= 1"):
+            solve(TAME, g, [0.0, 0.5], CTRL, quad_nodes=quad_nodes)
+        with pytest.raises(DomainError, match="quad_nodes must be an integer >= 1"):
+            particular_solution(TAME, g, 0.5, quad_nodes, CTRL)
+
     def test_grid_validation(self):
         with pytest.raises(DomainError):
             solve(TAME, None, [0.5, 1.0])
@@ -379,6 +393,16 @@ class TestForcing:
             Forcing.from_table([0.0, 0.0, 1.0], [0.0, 1.0, 2.0])
         with pytest.raises(DomainError):
             Forcing()
+
+    @pytest.mark.parametrize("r, g", [
+        ([0.0, math.nan, 1.0], [0.0, 1.0, 2.0]),  # NaN compares false, so a diff check alone passes it
+        ([0.0, 0.5, math.inf], [0.0, 1.0, 2.0]),
+        ([0.0, 0.5, 1.0], [0.0, math.nan, 2.0]),
+        ([0.0, 0.5, 1.0], [0.0, -math.inf, 2.0]),
+    ])
+    def test_table_rejects_non_finite_samples(self, r, g):
+        with pytest.raises(DomainError, match="must be finite"):
+            Forcing.from_table(r, g)
 
     def test_callable_vectorization(self):
         g = Forcing.from_callable(lambda r: r * r)
