@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """SHA-256 digests of a fixed, seeded record of trivml's results, one per part.
 
-    python3 scripts/record_digest.py [--show PART]
+    python3 scripts/record_digest.py [--show PART | --diff A B]
 
 Two source trees that print the same digest for a part give bit-identical
 results on every input of that part's record.  Parts:
@@ -22,8 +22,11 @@ results on every input of that part's record.  Parts:
 
 Each record entry is the repr of a value (or of the exception raised), so
 ``--show PART`` prints a part's entries one a line, for a diff of two trees.
-BLAS is capped at one thread before numpy loads.  Run from the root of a
-source checkout; trivml is imported from ./src.
+``--diff A B`` compares two such dumps of one part, A the base: it prints the
+part's largest change over numeric entries, relative to max(|A|, 1), and
+every entry whose exception, flag or shell count differs.  BLAS is capped at
+one thread before numpy loads.  Run from the root of a source checkout;
+trivml is imported from ./src.
 """
 
 import os
@@ -33,6 +36,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import re  # noqa: E402
 import sys  # noqa: E402
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
@@ -136,11 +140,74 @@ PARTS = {
     "verify": _verify_record,
 }
 
+_HEX = re.compile(r"[0-9a-f]*")
+
+
+def _number(text: str) -> complex:
+    """A float or complex repr, numpy's ``np.float64(...)`` form included."""
+    text = re.sub(r"^np\.\w+\((.*)\)$", r"\1", text)
+    return complex(text)
+
+
+def _fields(entries: list[str]) -> list[tuple[list, tuple]]:
+    """(numbers, exact) of each entry of one part's dump.
+
+    ``numbers`` holds the entry's values and error estimates, ``exact`` what
+    must match between trees: an exception, a shell count, a flag.
+    """
+    out = []
+    for i, entry in enumerate(entries):
+        if _HEX.fullmatch(entry):  # solve: values, abs_err, converged of each trace
+            arr = np.frombuffer(bytes.fromhex(entry), dtype=bool if i % 3 == 2 else float)
+            out.append(([], (arr.tobytes(),)) if i % 3 == 2 else (arr.tolist(), ()))
+            continue
+        head, _, tail = entry.rpartition(" ")
+        if entry.startswith("(") and _HEX.fullmatch(tail) and head.endswith(")"):  # a grid: probe, then values
+            numbers, exact = _fields([head])[0]
+            out.append((numbers + np.frombuffer(bytes.fromhex(tail)).tolist(), exact))
+        elif entry.startswith("(("):  # an EvalResult: (value, estimate, shells, converged)
+            value, est, shells, converged = entry[1:-1].rsplit(", ", 3)
+            out.append(([_number(value), _number(est)], (shells, converged)))
+        elif re.fullmatch(r"\S+ \S+", entry):  # verify: check name, max_err
+            name, err = entry.split(" ")
+            out.append(([_number(err)], (name,)))
+        else:  # an exception
+            out.append(([], (entry,)))
+    return out
+
+
+def diff(path_a: str, path_b: str) -> None:
+    """Print how the dump at path_b moved from the one at path_a."""
+    with open(path_a) as fa, open(path_b) as fb:
+        a, b = fa.read().splitlines(), fb.read().splitlines()
+    if len(a) != len(b):
+        sys.exit(f"{path_a} has {len(a)} entries and {path_b} {len(b)}: not dumps of one part")
+    worst, where, changed = 0.0, None, []
+    for i, ((na, ea), (nb, eb)) in enumerate(zip(_fields(a), _fields(b))):
+        if ea != eb or len(na) != len(nb):
+            changed.append(i)
+            continue
+        for x, y in zip(na, nb):
+            if x == y or (x != x and y != y):  # equal, or nan in both
+                continue
+            rel = abs(y - x) / max(abs(x), 1.0)
+            if not rel <= worst:  # an inf or nan against a number counts as the largest
+                worst, where = rel, i
+    print(f"{len(a)} entries, largest relative change {worst:.3g}"
+          + ("" if where is None else f" (entry {where})") + f", {len(changed)} with another exception, flag or shell count")
+    for i in changed:
+        print(f"  entry {i}:\n    A {a[i]}\n    B {b[i]}")
+
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--show", choices=list(PARTS), help="print this part's entries instead of the digests")
+    mode = ap.add_mutually_exclusive_group()
+    mode.add_argument("--show", choices=list(PARTS), help="print this part's entries instead of the digests")
+    mode.add_argument("--diff", nargs=2, metavar=("A", "B"), help="compare two --show dumps of one part")
     opts = ap.parse_args()
+    if opts.diff:
+        diff(*opts.diff)
+        return
     if opts.show:
         print("\n".join(PARTS[opts.show]()))
         return

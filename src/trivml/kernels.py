@@ -69,10 +69,10 @@ def signed_log_rgamma(x):
     term whose gamma argument lands on a pole contributes exactly nothing.
     """
     x = np.asarray(x, dtype=float)
-    pos = x > 0.5
     sign = np.ones_like(x)
-    if pos.all():  # no reflection needed: skip the masked gathers and scatters
+    if x.min(initial=math.inf) > 0.5:  # no reflection needed: skip the masks, gathers and scatters
         return sign, np.negative(gammaln(x), out=np.empty_like(x))
+    pos = x > 0.5
     logv = np.empty_like(x)
     logv[pos] = -gammaln(x[pos])
     xn = x[~pos]

@@ -8,12 +8,15 @@ The central object is the function
 evaluated by summing simplex shells l+p+k = q in increasing q.  Shells are the
 natural truncation unit because the rising-factorial numerator grows with the
 total degree.  Term magnitudes are assembled in log space and exponentiated
-once per term; signs (and phases, for complex arguments) ride separately.
-The argument-free part of each shell is built once per parameter set, a
-block of shells per kernel call from a shared parameter-free index block, and
-kept in a small table (:func:`_walk`); a call adds only n log|z| per slot.
-The walk yields units of one format, a block it has just built or a single
-stored shell, and each unit is evaluated in one pass.
+once per term with a real exp; signs, when any term can be negative, ride
+separately, and so do the phases of complex arguments, gathered from tables
+built once per call.  The argument-free part of each shell is built once per
+parameter set, a block of shells per kernel call from a shared
+parameter-free index block, and kept in a small table (:func:`_walk`); a call
+adds only n log|z| per slot.  The walk yields units of one format, a block
+it has just built or a single stored shell; each unit is evaluated in one
+pass and its shells summed by one reduceat, and no step reads a term's
+position in its unit, so every bit is the same whichever unit carries it.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
@@ -140,7 +143,7 @@ class EvalResult:
 
 
 # Shells q < _TABLE_MAX_Q are cached, both their index blocks and, per
-# parameter set, their argument-free parts (up to 3.7 MB per table); later
+# parameter set, their argument-free parts (up to 2.4 MB per table); later
 # shells are rebuilt per call.
 _TABLE_MAX_Q = 96
 
@@ -177,25 +180,31 @@ def _table(params: MLParams, pattern: tuple) -> dict:
 
 
 def _walk(params: MLParams, slots, qmax: int):
-    """Argument-free parts (l, p, k, garg, logmag, sign) of shells q = 0..qmax, a block at a time.
+    """Argument-free parts (l, p, k, logmag[, sign]) of shells q = 0..qmax, a block at a time.
 
     ``slots`` holds one :func:`_arg_parts` tuple per index direction (l, p, k);
     only its pattern (is_zero, is negative) enters.  A zero slot prunes every
     index that would raise it to a positive power, and a shell that pruning
-    empties comes out as None.  ``logmag`` is log|(eta)_q / (Gamma(garg)
-    l! p! k!)| and ``sign`` includes (-1)^n for every negative slot; callers
-    add n log|z| per slot.  Stops early once (eta)_q vanishes, at q = 1 - eta
-    for a non-positive integer eta, since every later shell is then
-    identically zero.
+    empties comes out as None.  The indices are floats; ``logmag`` is
+    log|(eta)_q / (Gamma(l alpha + p beta + k gamma + delta) l! p! k!)| and
+    ``sign`` includes (-1)^n for every negative slot.  ``sign`` is left out
+    when every term is positive (eta > 0, delta > 0, so that every gamma
+    argument is positive, and no negative slot).  Callers add n log|z| per
+    slot.  Stops early once (eta)_q vanishes, at q = 1 - eta for a
+    non-positive integer eta, since every later shell is then identically
+    zero.
 
-    Yields units of one format, (arrays, parts): six arrays to be evaluated
+    Yields units of one format, (arrays, parts): the arrays to be evaluated
     in one pass and each shell's slice of them, or None for a shell that
     pruning empties.  A block built by this walk is one unit, clipped at the
     last shell the walk may read.  A shell read from the table is a unit of
-    its own, its stored arrays with the one slice ``slice(None)``, so stored
+    its own, its stored arrays with the one slice ``slice(0, None)``, so stored
     blocks are still evaluated shell by shell.  Blocks missing from the
     table for (params, pattern) are built by :func:`_shell_block`, so up to
-    ``_SHELL_BLOCK - 1`` shells past the last one read.
+    ``_SHELL_BLOCK - 1`` shells past the last one read.  The Pochhammer table
+    covers the stored range and grows with the walk, rebuilt at twice the
+    length a block needs, so its size follows the shells read, not ``qmax``;
+    its cumulative sum keeps the bits of every entry it had.
     """
     pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
     table = _table(params, pattern)
@@ -215,61 +224,60 @@ def _walk(params: MLParams, slots, qmax: int):
             # so a 30 s run took 98 s of wall time instead of 60 s, and its
             # rss_mb rose 5 %.
             for shell in shells[:n]:
-                yield (_NO_TERMS, (None,)) if shell is None else (shell, (slice(None),))
+                yield (_NO_TERMS, (None,)) if shell is None else (shell, (slice(0, None),))
             continue
-        if poch is None:
-            poch = log_pochhammer_table(params.eta, qmax + _SHELL_BLOCK)
+        if poch is None or poch[1].size < q0 + _SHELL_BLOCK:
+            poch = log_pochhammer_table(params.eta, max(_TABLE_MAX_Q, 2 * (q0 + _SHELL_BLOCK)))
         arrays, parts = _shell_block(params, pattern, poch, q0)
-        if store and q0 < _TABLE_MAX_Q:
-            table.setdefault(q0, _views(arrays, parts))
+        if store and q0 < _TABLE_MAX_Q:  # each shell as views of the block's arrays, or None
+            table.setdefault(q0, [None if part is None else tuple(a[part] for a in arrays) for part in parts])
         parts = parts[:n]
         end = max((part.stop for part in parts if part is not None), default=0)
         yield tuple(a[:end] for a in arrays), parts
 
 
-_PARITY = np.array([1.0, -1.0])  # (-1)^n, indexed by n & 1
-_NO_TERMS = (np.empty(0),) * 6  # the arrays of a stored shell that pruning empties
+_NO_TERMS = (np.empty(0),) * 4  # the arrays of a stored shell that pruning empties
 
 
 def _shell_block(params: MLParams, pattern, poch, q0: int) -> tuple:
     """Shells q0..q0+_SHELL_BLOCK-1 of :func:`_walk`, built in one pass.
 
     The parameter-free part of the block comes from :func:`_index_block`, so
-    one ``signed_log_rgamma`` call and one elementwise pass cover every term.
-    Returns the block's arrays (l, p, k, garg, logmag, sign) and each shell's
-    slice of them, or None for a shell that pruning empties.
+    one ``signed_log_rgamma`` call and a few in-place passes cover every
+    term.  Returns the block's arrays (l, p, k, logmag[, sign]) and each
+    shell's slice of them, or None for a shell that pruning empties.
     """
     zero_dirs = tuple(d for d, (is_zero, _) in enumerate(pattern) if is_zero)
-    l, p, k, lf_l, lf_p, lf_k, sizes, parts = _index_block(q0, zero_dirs, _SHELL_BLOCK)
-    poch_signs, poch_logs = poch
-    q1 = q0 + _SHELL_BLOCK
-    garg = l * params.alpha + p * params.beta + k * params.gamma + params.delta
-    rg_sign, rg_log = signed_log_rgamma(garg)
-    logmag = np.repeat(poch_logs[q0:q1], sizes) + rg_log - lf_l - lf_p - lf_k
-    sign = np.repeat(poch_signs[q0:q1], sizes) * rg_sign
-    for n, (_, negative) in zip((l, p, k), pattern):
-        if negative:
-            sign = sign * _PARITY[n & 1]
-    return (l, p, k, garg, logmag, sign), parts
-
-
-def _views(arrays, parts) -> list:
-    """Each shell's parts as views of the block's ``arrays``, or None."""
-    return [None if part is None else tuple(a[part] for a in arrays) for part in parts]
+    l, p, k, logfact, sizes, parts = _index_block(q0, zero_dirs, _SHELL_BLOCK)
+    garg = l * params.alpha
+    garg += p * params.beta
+    garg += k * params.gamma
+    garg += params.delta
+    sign, logmag = signed_log_rgamma(garg)
+    logmag += np.repeat(poch[1][q0 : q0 + _SHELL_BLOCK], sizes)  # poch is (signs, logs)
+    logmag -= logfact
+    negative = [n for n, (_, neg) in zip((l, p, k), pattern) if neg]
+    if params.eta > 0.0 and params.delta > 0.0 and not negative:
+        return (l, p, k, logmag), parts  # (eta)_q > 0 and 1/Gamma > 0 on the positive axis
+    sign *= np.repeat(poch[0][q0 : q0 + _SHELL_BLOCK], sizes)
+    for n in negative:
+        sign *= 1.0 - 2.0 * np.fmod(n, 2.0)  # (-1)^n
+    return (l, p, k, logmag, sign), parts
 
 
 # Parameter-free index blocks of shells q0 < _TABLE_MAX_Q, keyed by (q0,
-# zero-slot directions, block size): about 48 B per term, 8 MB at most.
+# zero-slot directions, block size): 32 B per term, 5.3 MB at most.
 _index_blocks: dict[tuple, tuple] = {}
 
 
 def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
-    """(l, p, k, log l!, log p!, log k!, sizes, parts) of shells q0..q0+size-1.
+    """(l, p, k, log l! + log p! + log k!, sizes, parts) of shells q0..q0+size-1.
 
     The indices of each shell l + p + k = q run over l, then p, with every
-    index in a direction of ``zero_dirs`` pruned to 0.  ``sizes`` lists the
-    terms per shell and ``parts`` each shell's slice of the arrays, or None
-    for a shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept.
+    index in a direction of ``zero_dirs`` pruned to 0; they are held as
+    floats, the form every term formula reads.  ``sizes`` lists the terms
+    per shell and ``parts`` each shell's slice of the arrays, or None for a
+    shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept.
     """
     key = (q0, zero_dirs, size)
     if key in _index_blocks:
@@ -289,27 +297,36 @@ def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
     ends = np.cumsum(sizes).tolist()
     parts = [slice(end - n, end) if n else None for end, n in zip(ends, sizes.tolist())]
     logfact = gammaln(np.arange(q0 + size) + 1.0)
-    block = (l, p, k, logfact[l], logfact[p], logfact[k], sizes, parts)
+    block = (l.astype(float), p.astype(float), k.astype(float), logfact[l] + logfact[p] + logfact[k], sizes, parts)
     if q0 < _TABLE_MAX_Q:
-        for a in block[:7]:  # shared by every caller, and so are the shells' views
+        for a in block[:5]:  # shared by every caller, and so are the shells' views
             a.flags.writeable = False
         block = _index_blocks.setdefault(key, block)
     return block
 
 
-def _shell_terms(parts, slots, complex_in: bool) -> np.ndarray:
+def _shell_terms(arrays, slots, phases) -> np.ndarray:
     """The terms of one unit of :func:`_walk` at the arguments of ``slots``.
 
-    Adds n log|z| to the argument-free logmag for each nonzero slot,
-    exponentiates once, and adds the phases for complex arguments.
+    Adds n log|z| to the argument-free logmag for each nonzero slot and
+    takes one real exp; then applies the unit's sign, if it has one, and for
+    complex arguments multiplies in e^(i n phi) for each (direction, table)
+    of the call's ``phases`` (empty for a real call), gathered by n.  No
+    step reads a term's position, so a term's bits do not depend on the unit
+    that carries it.
     """
-    l, p, k, _, logmag, sign = parts
+    l, p, k, logmag, *sign = arrays
     for n, (is_zero, log_z, _, _) in zip((l, p, k), slots):
         if not is_zero:
             logmag = logmag + n * log_z
-    if complex_in:
-        logmag = logmag + 1j * (l * slots[0][2] + p * slots[1][2] + k * slots[2][2])
-    return sign * np.exp(logmag)
+    terms = np.exp(logmag)
+    if sign:
+        terms *= sign[0]
+    for d, table in phases:
+        # a ufunc call, never an operator: numpy may compute ``a * temporary``
+        # in place in a large temporary, where a complex product rounds differently
+        terms = np.multiply(terms, table[arrays[d].astype(np.intp)])
+    return terms
 
 
 # Successive quiet shells needed before the tail estimate is trusted.
@@ -411,14 +428,23 @@ def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | No
         q_live = _first_live(params.delta, min(orders, default=math.inf))
 
     def shells():
+        phases, size, q = [], 0, 0
         for arrays, parts in _walk(params, slots, ctrl.max_shell):
-            # one pass over the unit's terms; each shell sum is a pairwise
-            # .sum() over that shell alone, so its bits do not depend on the unit
-            terms = _shell_terms(arrays, slots, complex_in)
+            q += len(parts)  # the unit's indices are below q
+            if complex_in and size < q:
+                # e^(i n phi) per direction with a phase: built once per call, grown with the walk
+                size = max(_TABLE_MAX_Q, 2 * q)
+                phases = [(d, np.exp(1j * slot[2] * np.arange(size))) for d, slot in enumerate(slots) if slot[2]]
+            # one pass over the unit's terms and one reduceat over its nonempty
+            # shells, each a segment of its own, so a sum's bits do not depend on
+            # the unit; a shell that pruning empties is 0.0 and no segment, since
+            # reduceat gives a[i] for an empty segment
+            terms = _shell_terms(arrays, slots, phases)
+            sums = iter(np.add.reduceat(terms, [part.start for part in parts if part is not None]).tolist())
             for part in parts:
                 if kept is not None:
                     kept.append((None, None) if part is None else (tuple(a[part] for a in arrays[:3]), terms[part]))
-                yield 0.0 if part is None else terms[part].sum()
+                yield 0.0 if part is None else next(sums)
 
     try:
         return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0, q_live)
@@ -531,7 +557,7 @@ def eval_univariate_grid(
     # loop over direction d; j, the longer of the other two, goes through BLAS
     d = extents.index(min(extents))
     i, j = sorted((n for n in range(3) if n != d), key=extents.__getitem__)
-    flat = (idx[d] * extents[i] + idx[i]) * extents[j] + idx[j]
+    flat = ((idx[d] * extents[i] + idx[i]) * extents[j] + idx[j]).astype(np.intp)
     dense = np.bincount(flat, coeffs, extents[d] * extents[i] * extents[j])
     dense = dense.reshape(extents[d], extents[i], extents[j])
     parts = np.empty((extents[d], r.size))

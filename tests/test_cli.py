@@ -57,6 +57,14 @@ class TestEval:
         )
         assert code == 2 and out == "" and err.startswith("error: series argument must be finite")
 
+    def test_huge_shell_budget(self, capsys):
+        # the budget bounds the walk but sizes no table: same row, exit 0
+        argv = ["eval", "--alpha", "0.9", "--beta", "0.8", "--gamma", "0.7", "--delta", "1.2",
+                "--eta", "1.1", "--u", "0.5", "--v", "0.3", "--w", "0.2"]
+        code, out, err = run_cli(capsys, *argv, "--max-shell", "10000000000")
+        assert code == 0 and err == ""
+        assert out == run_cli(capsys, *argv)[1]
+
     def test_unit_value_for_zero_arguments(self, capsys):
         code, out, _ = run_cli(
             capsys, "eval", "--alpha", "0.8", "--beta", "0.7", "--gamma", "0.3",

@@ -173,6 +173,15 @@ class TestPochhammer:
             if s != 0.0:
                 assert logs[q] == pytest.approx(lg, abs=1e-10)
 
+    @pytest.mark.parametrize("eta", [0.7, 1.3, -2.5, -3.0, 5.1])
+    def test_table_prefix_keeps_its_bits(self, eta):
+        # the series walk regrows its table at twice the length: every entry
+        # of the shorter table must come back with the same bits
+        signs, logs = log_pochhammer_table(eta, 1000)
+        for n in (0, 1, 7, 16, 96, 208, 500):
+            s, lg = log_pochhammer_table(eta, n)
+            assert s.tobytes() == signs[: n + 1].tobytes() and lg.tobytes() == logs[: n + 1].tobytes()
+
     def test_terminating_table(self):
         # (-2)_0 = 1, (-2)_1 = -2, (-2)_2 = 2, (-2)_q = 0 from q = 3 on
         signs, _ = log_pochhammer_table(-2.0, 10)

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import threading
@@ -99,6 +100,27 @@ class TestTrivariate:
                 MLParams(p.gamma, p.beta, p.alpha, p.delta, p.eta), w, v, u, CTRL
             ).value
             assert abs(base - perm) <= 1e-12 * max(abs(base), 1.0)
+
+    def test_complex_long_walk_within_rounding(self):
+        # |z| near 4 sums about 50 shells of complex terms, their phases taken
+        # from the call's tables and each shell summed as one segment of its
+        # unit; the error is rounding, measured against sum |t|, the scale on
+        # which any float evaluation of the series rounds
+        args = (4.0 * cmath.exp(2.0j), 3.8 * cmath.exp(-1.1j), 4.1 * cmath.exp(0.4j))
+        pars = (0.8, 0.9, 0.85, 1.2, 2.0)
+        res = eval_trivariate(MLParams(*pars), *args, CTRL)
+        assert res.converged and 40 <= res.shells_used <= 60
+        scale = brute_trivariate(*pars, *args, absolute=True)
+        assert abs(res.value - brute_trivariate(*pars, *args)) <= 64 * np.finfo(float).eps * scale
+
+    @pytest.mark.usefixtures("cold_tables")
+    def test_huge_budget_sizes_no_table(self):
+        # the walk's tables follow the shells it reads, not max_shell; (30, 0, 0)
+        # reads past the first Pochhammer table, so it is regrown on the way
+        p = MLParams(0.9, 0.8, 0.7, 1.2, 1.1)
+        for args in [(0.5, 0.3, 0.2), (0.3 + 0.4j, -0.2, 0.5 - 0.3j), (30.0, 0.0, 0.0)]:
+            want = _bits(eval_trivariate(p, *args))
+            assert _bits(eval_trivariate(p, *args, SeriesControl(max_shell=10**12))) == want
 
     def test_overflow_error(self):
         with pytest.raises(SeriesOverflowError):
@@ -697,7 +719,8 @@ class TestIndexBlocks:
 
     def test_shells_enumerate_the_simplex(self):
         for zero_dirs in [(), (1,), (0, 2), (0, 1, 2)]:
-            l, p, k, lf_l, lf_p, lf_k, sizes, parts = series._index_block(8, zero_dirs, 8)
+            l, p, k, logfact, sizes, parts = series._index_block(8, zero_dirs, 8)
+            assert all(a.dtype == np.float64 for a in (l, p, k, logfact))
             for q, part in zip(range(8, 16), parts):
                 want = [
                     (a, b, q - a - b)
@@ -707,14 +730,13 @@ class TestIndexBlocks:
                 ]
                 got = [] if part is None else list(zip(l[part].tolist(), p[part].tolist(), k[part].tolist()))
                 assert got == want
-            assert lf_l.tobytes() == gammaln(l + 1.0).tobytes()
-            assert lf_p.tobytes() == gammaln(p + 1.0).tobytes()
-            assert lf_k.tobytes() == gammaln(k + 1.0).tobytes()
+            assert logfact.tobytes() == (gammaln(l + 1.0) + gammaln(p + 1.0) + gammaln(k + 1.0)).tobytes()
             assert sizes.tolist() == [0 if part is None else part.stop - part.start for part in parts]
 
 
 def _shell_bytes(walk):
-    shells = [sh for arrays, parts in walk for sh in series._views(arrays, parts)]
+    # each shell's arrays (l, p, k, logmag and, unless every term is positive, sign)
+    shells = [None if part is None else tuple(a[part] for a in arrays) for arrays, parts in walk for part in parts]
     return [None if sh is None else tuple((a.dtype.str, a.tobytes()) for a in sh) for sh in shells]
 
 
@@ -732,14 +754,18 @@ class TestBlockBuild:
     }
 
     @staticmethod
-    def _unblocked(monkeypatch, fn):
+    def _blocked(monkeypatch, size, fn):
+        # a shell block or a term block of ``size`` instead of the default
         with monkeypatch.context() as m:
-            m.setattr(series, "_SHELL_BLOCK", 1)
-            m.setattr(series, "_TERM_BLOCK", 1)
+            m.setattr(series, "_SHELL_BLOCK", size)
+            m.setattr(series, "_TERM_BLOCK", size)
             series._table.cache_clear()
             out = fn()
         series._table.cache_clear()
         return out
+
+    def _unblocked(self, monkeypatch, fn):
+        return self._blocked(monkeypatch, 1, fn)
 
     @staticmethod
     def _outcome(fn):
@@ -748,6 +774,10 @@ class TestBlockBuild:
         except (DomainError, SeriesOverflowError) as exc:
             return type(exc).__name__, str(exc)
 
+    # Blocks of 1 and 3 shells (or terms) against the default of 8: a kernel
+    # whose bits depend on a term's position in its unit fails one of them.
+    SIZES = (1, 3)
+
     @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
     @pytest.mark.parametrize("slots", list(SLOTS))
     def test_shells_for_every_budget(self, monkeypatch, slots, eta):
@@ -755,9 +785,10 @@ class TestBlockBuild:
         p = MLParams(0.9, 1.3, 0.5, -0.7, eta)
         parts = tuple(series._arg_parts(z) for z in self.SLOTS[slots])
         for qmax in range(2 * series._SHELL_BLOCK + 2):
-            want = self._unblocked(monkeypatch, lambda: _shell_bytes(series._walk(p, parts, qmax)))
+            wants = [self._blocked(monkeypatch, size, lambda: _shell_bytes(series._walk(p, parts, qmax)))
+                     for size in self.SIZES]
             for _ in range(3):  # cold, storing, then read from the table
-                assert _shell_bytes(series._walk(p, parts, qmax)) == want
+                assert [_shell_bytes(series._walk(p, parts, qmax))] * len(self.SIZES) == wants
             series._table.cache_clear()
 
     @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
@@ -779,7 +810,42 @@ class TestBlockBuild:
                 out.append(self._outcome(lambda: eval_trivariate(p, *args, ctrl)))
             return out
 
-        assert outcomes(cold=False) == self._unblocked(monkeypatch, lambda: outcomes(cold=True))
+        warm = outcomes(cold=False)
+        for size in self.SIZES:
+            assert warm == self._blocked(monkeypatch, size, lambda: outcomes(cold=True))
+
+    @pytest.mark.parametrize("size", SIZES)
+    @pytest.mark.parametrize("args", [(30.0, 20.0, 25.0), (9.0 + 12.0j, -18.0, 4.0 - 20.0j)])
+    def test_long_walk_values(self, monkeypatch, args, size):
+        # walks past the stored range, through shells of thousands of terms;
+        # the complex one cancels down to its rounding, so any bit that moves shows
+        p = MLParams(1.1, 1.0, 0.9, 1.2, 1.4)
+        run = lambda: [_bits(eval_trivariate(p, *args, CTRL)) for _ in range(3)]  # cold, storing, stored
+        got = run()
+        assert got[0][2] > series._TABLE_MAX_Q + series._SHELL_BLOCK
+        assert got == [got[0]] * 3 == self._blocked(monkeypatch, size, run)
+
+    @pytest.mark.parametrize("eta, delta, args, signed", [
+        (1.4, 1.2, (0.7, 0.4, 1.1), False),
+        (1.4, 0.3, (0.3 + 0.4j, 0.0, 0.5j), False),  # Gamma arguments in (0, 1/2] are still positive
+        (1.4, 1.2, (0.3 + 0.4j, -0.2, 0.5 - 0.3j), True),
+        (1.4, 1.2, (0.7, -0.4, 1.1), True),
+        (-2.5, 1.2, (0.7, 0.4, 1.1), True),
+        (1.4, 0.0, (0.7, 0.4, 1.1), True),
+        (1.4, -0.7, (0.7, 0.4, 1.1), True),
+    ])
+    def test_sign_left_out_only_for_positive_terms(self, eta, delta, args, signed):
+        # eta > 0, delta > 0 and no negative slot make every term positive,
+        # and then the walk carries no sign array; the values stay right
+        p = MLParams(0.9, 1.3, 0.5, delta, eta)
+        slots = tuple(series._arg_parts(z) for z in args)
+        for _ in range(3):  # cold, storing, then read from the table
+            units = list(series._walk(p, slots, 2 * series._SHELL_BLOCK + 1))
+            assert {len(arrays) for arrays, parts in units if parts != (None,)} == {5 if signed else 4}
+        pars = (0.9, 1.3, 0.5, delta, eta)
+        scale = brute_trivariate(*pars, *args, absolute=True)
+        got = eval_trivariate(p, *args, CTRL).value
+        assert abs(got - brute_trivariate(*pars, *args)) <= 64 * np.finfo(float).eps * scale
 
     @pytest.mark.parametrize("s", [0.0, 0.8, -2.5, 30.0, 1.5 - 2.0j, 720.0])
     def test_single_index_engines(self, monkeypatch, s):
