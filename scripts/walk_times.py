@@ -1,32 +1,49 @@
 #!/usr/bin/env python3
 """Shell-walk times of one-shot and repeated series calls, measured in one process.
 
-    python3 scripts/walk_times.py [--samples N] [--seed S]
+    python3 scripts/walk_times.py [--samples N] [--seed S] [--part {kinds,units,all}] [--base DIR]
 
 For each kind of call, N fresh parameter sets are drawn from a seeded
 generator and each is called three times on the same input: the first call
-builds every shell block it reads (a one-shot call), the second stores the
-blocks below q = 96, and the third reads them from the table.  Prints the
+builds every shell unit it reads (a one-shot call), the second stores the
+units below q = 96, and the third reads them from the table.  Prints the
 median time in microseconds of the first call ("fresh") and of the third
 ("stored") per kind, and the median shells summed.
 
-A second table times the shell-assembly layer alone: one freshly built unit
-of ``_SHELL_BLOCK`` shells from its first shell q0 = 0, 8, ..., 40, real
-(tri-real's inputs, every term positive) and complex (tri-complex's), N
-fresh parameter sets each.  It gives the median microseconds of the build
+``--base DIR`` times a second source tree in the same process: trivml from
+DIR/src is loaded as a package of another name.  Each round draws one input
+per kind, and each tree in turn calls every kind on them, the tree that
+goes first alternating from round to round, so both trees see the same
+inputs and the same drifts in machine speed (separate processes on a
+shared virtual machine differ by 20-50 %), and each tree's calls follow its
+own, as in a run of its own: a tri-tiny call right after the other tree's
+tri-long walk took up to twice as long as one after its own.  The first table
+then also gives the base tree's medians, the median over inputs of the
+per-input time ratio (this tree over the base), and the number of inputs
+whose results (value, error estimate, shells, flag) differ between the
+trees.  The base tree needs only the public API.
+
+A second table times the shell-assembly layer alone: one freshly built
+unit per standard unit start q0 = 0, 20, 26, ... up to q0 = 41 with three
+live directions (and the 8-shell piece that a short walk builds first),
+real (tri-real's inputs, every term positive) and complex (tri-complex's),
+N fresh parameter sets each.  It gives the median microseconds of the build
 (``series._shell_block``, index blocks already cached, as in a call) and of
 the terms pass (``series._shell_terms``; the per-call phase tables are built
-outside the timing), their sum, and the terms of the unit, so the fixed
-cost per unit and the cost per term can be read off.
+outside the timing), their sum, and the shells and terms of the unit, so
+the fixed cost per unit and the cost per term can be read off.
 
 Kinds: ``tri-real`` and ``tri-complex`` are ``eval_trivariate`` with
 eval-scatter's parameter ranges and arguments (real in [0, 2.5], complex in
 the unit disk), ``uni`` is ``eval_univariate`` with lambdas in [0, 1.5] and
 r in [0.2, 1.5], and ``tri-long`` is ``eval_trivariate`` with orders in
 [0.9, 1.25] and real arguments in [25, 35], walks of about 130 shells that
-run past the stored range.  BLAS is capped at one thread before numpy loads,
-as in the benchmark.  Run from the root of a source checkout; trivml is
-imported from ./src.
+run past the stored range.  ``tri-tiny`` takes arguments in [0, 1e-3]
+(walks of about 7 shells, which the a-priori bound marks short),
+``tri-1d`` v = w = 0 and u in [0, 30] (one live direction), and ``tri-2d``
+w = 0 and u, v in [0, 8] (two), all on tri-real's parameter ranges.
+BLAS is capped at one thread before numpy loads, as in the benchmark.  Run
+from the root of a source checkout; trivml is imported from ./src.
 """
 
 import os
@@ -36,6 +53,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 
 import argparse  # noqa: E402
 import cmath  # noqa: E402
+import importlib.util  # noqa: E402
 import math  # noqa: E402
 import random  # noqa: E402
 import statistics  # noqa: E402
@@ -46,38 +64,60 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import numpy as np  # noqa: E402
 
-from trivml import LambdaTriple, MLParams, eval_trivariate, eval_univariate, series  # noqa: E402
+import trivml  # noqa: E402
+from trivml import MLParams, series  # noqa: E402
 from trivml.kernels import log_pochhammer_table  # noqa: E402
 
 
-def _call(kind: str, rng: random.Random):
-    """A no-argument call of one kind on freshly drawn inputs."""
+def _draw(kind: str, rng: random.Random) -> tuple:
+    """(function name, parameters, arguments) of one call of a kind, freshly drawn."""
     u = rng.uniform
     if kind == "tri-long":
-        params = MLParams(u(0.9, 1.25), u(0.9, 1.25), u(0.9, 1.25), u(0.6, 2.4), u(0.5, 2.0))
-        args = (u(25.0, 35.0), u(25.0, 35.0), u(25.0, 35.0))
-        return lambda: eval_trivariate(params, *args)
-    params = MLParams(u(0.7, 1.4), u(0.7, 1.4), u(0.7, 1.4), u(0.6, 2.4), u(0.5, 2.0))
-    if kind == "tri-real":
-        args = (u(0.0, 2.5), u(0.0, 2.5), u(0.0, 2.5))
-        return lambda: eval_trivariate(params, *args)
+        params = (u(0.9, 1.25), u(0.9, 1.25), u(0.9, 1.25), u(0.6, 2.4), u(0.5, 2.0))
+        return "eval_trivariate", params, (u(25.0, 35.0), u(25.0, 35.0), u(25.0, 35.0))
+    params = (u(0.7, 1.4), u(0.7, 1.4), u(0.7, 1.4), u(0.6, 2.4), u(0.5, 2.0))
+    if kind == "uni":
+        return "eval_univariate", params, ((u(0.0, 1.5), u(0.0, 1.5), u(0.0, 1.5)), u(0.2, 1.5))
     if kind == "tri-complex":
         args = tuple(cmath.rect(math.sqrt(u(0.0, 1.0)), u(-math.pi, math.pi)) for _ in range(3))
-        return lambda: eval_trivariate(params, *args)
-    lam = LambdaTriple(u(0.0, 1.5), u(0.0, 1.5), u(0.0, 1.5))
-    r = u(0.2, 1.5)
-    return lambda: eval_univariate(params, lam, r)
+    else:
+        hi = {"tri-real": (2.5,) * 3, "tri-tiny": (1e-3,) * 3, "tri-1d": (30.0, 0.0, 0.0), "tri-2d": (8.0, 8.0, 0.0)}
+        args = tuple(u(0.0, h) if h else 0.0 for h in hi[kind])
+    return "eval_trivariate", params, args
 
 
-KINDS = ("tri-real", "tri-complex", "uni", "tri-long")
+def _bind(tree, call: tuple):
+    """A no-argument call of ``tree``'s trivml on a drawn call."""
+    name, params, args = call
+    params = tree.MLParams(*params)
+    if name == "eval_univariate":
+        lam = tree.LambdaTriple(*args[0])
+        return lambda: tree.eval_univariate(params, lam, args[1])
+    return lambda: tree.eval_trivariate(params, *args)
+
+
+def _load_tree(root: str):
+    """trivml from the source tree at ``root``, imported under another package name."""
+    pkg = os.path.join(os.path.abspath(root), "src", "trivml")
+    spec = importlib.util.spec_from_file_location("trivml_base", os.path.join(pkg, "__init__.py"),
+                                                  submodule_search_locations=[pkg])
+    tree = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = tree
+    spec.loader.exec_module(tree)
+    return tree
+
+
+KINDS = ("tri-real", "tri-complex", "uni", "tri-long", "tri-tiny", "tri-1d", "tri-2d")
 
 
 def _unit_times(rng: random.Random, samples: int) -> None:
-    """Print build and terms times of one fresh shell unit per first shell q0."""
+    """Print build and terms times of one fresh shell unit per standard unit start."""
     u = rng.uniform
-    print(f"\n{'unit':<8} {'q0':>3} {'terms':>6} {'build us':>9} {'terms us':>9} {'total us':>9}")
+    ends = series._unit_ends(3)
+    units = [(0, series._SHORT_WALK)] + [(q0, end) for q0, end in ends.items() if q0 <= 41]
+    print(f"\n{'unit':<8} {'q0':>3} {'end':>4} {'terms':>6} {'build us':>9} {'terms us':>9} {'total us':>9}")
     for kind in ("real", "complex"):
-        for q0 in range(0, 41, series._SHELL_BLOCK):
+        for q0, end in units:
             build, terms = [], []
             for _ in range(samples):
                 params = MLParams(u(0.7, 1.4), u(0.7, 1.4), u(0.7, 1.4), u(0.6, 2.4), u(0.5, 2.0))
@@ -87,50 +127,77 @@ def _unit_times(rng: random.Random, samples: int) -> None:
                     args = tuple(cmath.rect(math.sqrt(u(0.0, 1.0)), u(-math.pi, math.pi)) for _ in range(3))
                 slots = tuple(series._arg_parts(z) for z in args)
                 pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
-                poch = log_pochhammer_table(params.eta, q0 + series._SHELL_BLOCK)
-                n = np.arange(q0 + series._SHELL_BLOCK)
+                poch = log_pochhammer_table(params.eta, end)
+                n = np.arange(end)
                 phases = [(d, np.exp(1j * slot[2] * n)) for d, slot in enumerate(slots) if slot[2]]
                 t0 = time.perf_counter()
-                arrays, _ = series._shell_block(params, pattern, poch, q0)
+                arrays, _ = series._shell_block(params, pattern, poch, q0, end - q0)
                 t1 = time.perf_counter()
                 series._shell_terms(arrays, slots, phases)
                 t2 = time.perf_counter()
                 build.append(t1 - t0)
                 terms.append(t2 - t1)
             b, t = 1e6 * statistics.median(build), 1e6 * statistics.median(terms)
-            print(f"{kind:<8} {q0:3d} {arrays[0].size:6d} {b:9.1f} {t:9.1f} {b + t:9.1f}")
+            print(f"{kind:<8} {q0:3d} {end:4d} {arrays[0].size:6d} {b:9.1f} {t:9.1f} {b + t:9.1f}")
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=300, help="parameter sets per kind (default 300)")
     ap.add_argument("--seed", type=int, default=1, help="input seed (default 1)")
+    ap.add_argument("--part", choices=("kinds", "units", "all"), default="all", help="tables to print (default all)")
+    ap.add_argument("--base", default=None, help="source tree to compare against, call by call")
     opts = ap.parse_args()
     if opts.samples < 1:
         ap.error("--samples must be >= 1")
     rng = random.Random(opts.seed)
+    if opts.part != "units":
+        _kind_times(rng, opts.samples, [trivml] if opts.base is None else [trivml, _load_tree(opts.base)])
+    if opts.part != "kinds":
+        _unit_times(rng, opts.samples)
+
+
+def _kind_times(rng: random.Random, samples: int, trees: list) -> None:
+    """Print the median fresh and stored call times and shells summed per kind, per tree."""
     for kind in KINDS:  # warm-up: fills the process-wide index blocks
         for _ in range(5):
-            _call(kind, rng)()
-    times = {kind: ([], [], []) for kind in KINDS}
-    for _ in range(opts.samples):
-        for kind in KINDS:  # kinds take turns, so drifts in machine speed hit all alike
-            fn = _call(kind, rng)
-            fresh, stored, shells = times[kind]
-            for n in range(3):
-                t0 = time.perf_counter()
-                res = fn()
-                dt = time.perf_counter() - t0
-                if n == 0:
-                    fresh.append(dt)
-                elif n == 2:
-                    stored.append(dt)
-            shells.append(res.shells_used)
-    print(f"{'kind':<12} {'fresh us':>10} {'stored us':>10} {'shells':>7}")
-    for kind, (fresh, stored, shells) in times.items():
-        print(f"{kind:<12} {1e6 * statistics.median(fresh):10.1f} {1e6 * statistics.median(stored):10.1f}"
-              f" {statistics.median(shells):7.0f}")
-    _unit_times(rng, opts.samples)
+            call = _draw(kind, rng)
+            for tree in trees:
+                _bind(tree, call)()
+    # per kind and tree: fresh and stored times, shells; per kind: inputs whose results differ
+    times = {kind: [([], [], []) for _ in trees] for kind in KINDS}
+    results = {kind: [[] for _ in trees] for kind in KINDS}
+    for i in range(samples):
+        calls = {kind: _draw(kind, rng) for kind in KINDS}
+        # kinds take turns, so drifts in machine speed hit all alike
+        for t in sorted(range(len(trees)), key=lambda t: (t + i) % len(trees)):
+            for kind, call in calls.items():
+                fn = _bind(trees[t], call)
+                fresh, stored, shells = times[kind][t]
+                for n in range(3):
+                    t0 = time.perf_counter()
+                    res = fn()
+                    dt = time.perf_counter() - t0
+                    if n == 0:
+                        fresh.append(dt)
+                    elif n == 2:
+                        stored.append(dt)
+                shells.append(res.shells_used)
+                results[kind][t].append((repr(complex(res.value)), repr(res.abs_error_estimate), res.shells_used,
+                                         res.converged))
+    med = lambda xs: 1e6 * statistics.median(xs)  # noqa: E731
+    if len(trees) == 1:
+        print(f"{'kind':<12} {'fresh us':>10} {'stored us':>10} {'shells':>7}")
+        for kind, [(fresh, stored, shells)] in times.items():
+            print(f"{kind:<12} {med(fresh):10.1f} {med(stored):10.1f} {statistics.median(shells):7.0f}")
+        return
+    ratio = lambda xs, bs: statistics.median(x / b for x, b in zip(xs, bs))  # noqa: E731
+    print(f"{'kind':<12} {'base fresh':>10} {'fresh us':>10} {'ratio':>6} {'base stored':>11} {'stored us':>10}"
+          f" {'ratio':>6} {'shells':>7} {'differ':>6}")
+    for kind, [(fresh, stored, shells), (b_fresh, b_stored, _)] in times.items():
+        differ = sum(a != b for a, b in zip(*results[kind]))
+        print(f"{kind:<12} {med(b_fresh):10.1f} {med(fresh):10.1f} {ratio(fresh, b_fresh):6.3f} {med(b_stored):11.1f}"
+              f" {med(stored):10.1f} {ratio(stored, b_stored):6.3f} {statistics.median(shells):7.0f} {differ:6d}")
 
 
 if __name__ == "__main__":

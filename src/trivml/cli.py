@@ -154,6 +154,12 @@ class _IOFailure(Exception):
     pass
 
 
+def _check_t_max(t_max: float) -> None:
+    """DomainError for a NaN or infinite --t-max, before any grid is built on it."""
+    if not math.isfinite(t_max):
+        raise DomainError(f"--t-max must be finite, got {t_max}")
+
+
 def cmd_solve(opts: dict) -> int:
     _require(opts, ["alpha", "beta", "gamma", "lambda1", "lambda2", "lambda3", "y0", "t_max", "n_points"])
     spec = IVPSpec(
@@ -161,6 +167,7 @@ def cmd_solve(opts: dict) -> int:
         opts["lambda1"], opts["lambda2"], opts["lambda3"], opts["y0"],
     )
     n_points = opts["n_points"]
+    _check_t_max(opts["t_max"])
     if n_points < 1 or not opts["t_max"] > 0.0:
         raise DomainError("need n_points >= 1 and t_max > 0")
     grid = np.linspace(0.0, opts["t_max"], n_points + 1)
@@ -223,12 +230,14 @@ def cmd_table(opts: dict) -> int:
     deltas, etas = _float_list(opts["delta"]), _float_list(opts["eta"])
     scale_u, scale_v, scale_w = (1.0 if opts.get(k) is None else opts[k] for k in ("u", "v", "w"))
     n_points = opts["n_points"]
+    _check_t_max(opts["t_max"])
     if n_points < 1 or not opts["t_max"] > 0.0 or min(map(len, (alphas, betas, gammas, deltas, etas))) < 1:
         raise DomainError("need nonempty sweep lists, n_points >= 1 and t_max > 0")
     rs = np.linspace(0.0, opts["t_max"], n_points + 1)
     ctrl = _ctrl(opts)
 
     lines = ["family,alpha,beta,gamma,delta,eta,r,value"]
+    all_ok = True
     for a in alphas:
         for b in betas:
             for c in gammas:
@@ -244,19 +253,24 @@ def cmd_table(opts: dict) -> int:
                             rows = {
                                 "trivariate": eval_trivariate(
                                     MLParams(a, b, c, d, e), scale_u * r, scale_v * r, scale_w * r, ctrl
-                                ).value,
+                                ),
                                 "bivariate": eval_trivariate(
                                     MLParams(a, b, 1.0, c, e), scale_u * r, scale_v * r, 0.0, ctrl
-                                ).value,
-                                "prabhakar": eval_prabhakar(a, b, e, scale_u * r, ctrl).value,
-                                "two-param": eval_prabhakar(a, b, 1.0, scale_u * r, ctrl).value,
+                                ),
+                                "prabhakar": eval_prabhakar(a, b, e, scale_u * r, ctrl),
+                                "two-param": eval_prabhakar(a, b, 1.0, scale_u * r, ctrl),
                             }
-                            for family, value in rows.items():
-                                value = complex(value).real
+                            for family, res in rows.items():
+                                # a partial sum is no value: NaN, and exit 3 below
+                                value = complex(res.value).real if res.converged else math.nan
+                                all_ok = all_ok and res.converged
                                 lines.append(
                                     ",".join([family] + [_fmt(x) for x in (a, b, c, d, e, r, value)])
                                 )
     _emit(opts.get("out"), lines)
+    if not all_ok:
+        print("one or more points did not converge", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
 

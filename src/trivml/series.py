@@ -11,12 +11,15 @@ total degree.  Term magnitudes are assembled in log space and exponentiated
 once per term with a real exp; signs, when any term can be negative, ride
 separately, and so do the phases of complex arguments, gathered from tables
 built once per call.  The argument-free part of each shell is built once per
-parameter set, a block of shells per kernel call from a shared
+parameter set, a unit of shells per kernel call from a shared
 parameter-free index block, and kept in a small table (:func:`_walk`); a call
-adds only n log|z| per slot.  The walk yields units of one format, a block
-it has just built or a single stored shell; each unit is evaluated in one
-pass and its shells summed by one reduceat, and no step reads a term's
-position in its unit, so every bit is the same whichever unit carries it.
+adds only n log|z| per slot.  A fresh unit takes the fewest shells whose
+terms, counted under the call's pruning pattern, reach _UNIT_TERMS, so its
+fixed cost is spread over about as many terms early in a walk as late.  The
+walk yields units of one format, a unit it has just built or a single stored
+shell; each unit is evaluated in one pass and its shells summed by one
+reduceat, and no step reads a term's position in its unit, so every bit is
+the same whichever unit carries it.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
@@ -33,6 +36,7 @@ zero termwise through the reciprocal gamma).
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import functools
 import math
@@ -165,13 +169,23 @@ def _arg_parts(z):
 
 # Argument-free shell tables, one per (params, slot pattern), at most
 # _SHELL_TABLES of them, least recently used evicted first.  A table maps the
-# first shell of each stored block to the block; blocks start at multiples of
-# _SHELL_BLOCK, so the stored range q < _TABLE_MAX_Q is whole blocks.  A key
-# seen for the first time stores nothing, and its blocks are stored from the
-# second call on, so parameters used once retain nothing.  Threads missing the
-# same block may both build it; the first one stored is kept.
+# first shell of each stored unit to the unit; units below _TABLE_MAX_Q start
+# at the fixed shells of _unit_ends, so the stored range is whole units and a
+# key q0 always covers the same shells.  A key seen for the first time stores
+# nothing, and its units are stored from the second call on, so parameters
+# used once retain nothing.  Threads missing the same unit may both build it;
+# the first one stored is kept.
 _SHELL_TABLES = 4
-_SHELL_BLOCK = 8
+
+# Terms per freshly built unit of the walk: a unit takes the fewest shells
+# whose terms, under the walk's pruning pattern, reach it, so each numpy call
+# of a unit covers about as many terms early in a walk as late.
+_UNIT_TERMS = 1500
+
+# Shells of a walk that an a-priori bound shows to end early (_short_walk);
+# such a walk builds them as a piece of the first unit, and stores neither
+# that piece nor the rest of the unit.
+_SHORT_WALK = 8
 
 
 @functools.lru_cache(maxsize=_SHELL_TABLES)
@@ -179,8 +193,37 @@ def _table(params: MLParams, pattern: tuple) -> dict:
     return {}
 
 
-def _walk(params: MLParams, slots, qmax: int):
-    """Argument-free parts (l, p, k, logmag[, sign]) of shells q = 0..qmax, a block at a time.
+def _terms_below(q: int, live: int) -> int:
+    """Terms in shells 0..q-1 with ``live`` directions that pruning keeps.
+
+    A shell holds (q + 1)(q + 2) / 2 terms with three, q + 1 with two and 1
+    with one; with none, only shell 0 holds a term.
+    """
+    return math.comb(q + live - 1, live) if live else min(q, 1)
+
+
+def _unit_end(q0: int, live: int, stop: int) -> int:
+    """End of the fresh unit from shell q0: the fewest shells whose terms reach _UNIT_TERMS, at most ``stop``."""
+    base = _terms_below(q0, live)
+    return q0 + 1 + bisect.bisect_left(range(q0 + 1, stop), _UNIT_TERMS, key=lambda q: _terms_below(q, live) - base)
+
+
+@functools.cache
+def _unit_ends(live: int) -> dict:
+    """{first shell: end} of the fresh units below _TABLE_MAX_Q for ``live`` live directions.
+
+    No unit straddles _TABLE_MAX_Q; past it the walk clips each unit at its
+    last shell (:func:`_unit_end` with ``stop`` the walk's end).
+    """
+    ends, q0 = {}, 0
+    while q0 < _TABLE_MAX_Q:
+        ends[q0] = _unit_end(q0, live, _TABLE_MAX_Q)
+        q0 = ends[q0]
+    return ends
+
+
+def _walk(params: MLParams, slots, qmax: int, short: bool = False):
+    """Argument-free parts (l, p, k, logmag[, sign]) of shells q = 0..qmax, a unit at a time.
 
     ``slots`` holds one :func:`_arg_parts` tuple per index direction (l, p, k);
     only its pattern (is_zero, is negative) enters.  A zero slot prunes every
@@ -196,14 +239,20 @@ def _walk(params: MLParams, slots, qmax: int):
 
     Yields units of one format, (arrays, parts): the arrays to be evaluated
     in one pass and each shell's slice of them, or None for a shell that
-    pruning empties.  A block built by this walk is one unit, clipped at the
-    last shell the walk may read.  A shell read from the table is a unit of
-    its own, its stored arrays with the one slice ``slice(0, None)``, so stored
-    blocks are still evaluated shell by shell.  Blocks missing from the
-    table for (params, pattern) are built by :func:`_shell_block`, so up to
-    ``_SHELL_BLOCK - 1`` shells past the last one read.  The Pochhammer table
+    pruning empties.  Units missing from the table for (params, pattern) are
+    built by :func:`_shell_block`, each from its first shell to its end in
+    :func:`_unit_ends` (below _TABLE_MAX_Q, built whole and yielded up to the
+    last shell the walk may read) or :func:`_unit_end` (past it, clipped at
+    that shell): about _UNIT_TERMS terms each.  A ``short`` walk (see
+    :func:`_short_walk`), or one of at most _SHORT_WALK shells, builds the
+    unit that straddles shell _SHORT_WALK, the first, in two pieces split
+    there and stores neither, so a stored key q0 always covers the same
+    shells.  Which walks are short only sizes what is built, never a bit of
+    what is yielded.  A shell read from the table is a unit of its own, its
+    stored arrays with the one slice ``slice(0, None)``, so stored units are
+    still evaluated shell by shell.  The Pochhammer table
     covers the stored range and grows with the walk, rebuilt at twice the
-    length a block needs, so its size follows the shells read, not ``qmax``;
+    length a unit needs, so its size follows the shells read, not ``qmax``;
     its cumulative sum keeps the bits of every entry it had.
     """
     pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
@@ -213,60 +262,72 @@ def _walk(params: MLParams, slots, qmax: int):
     qend = qmax + 1
     if params.eta <= 0.0 and params.eta == math.floor(params.eta):
         qend = min(qend, 1 - int(params.eta))
+    live = [is_zero for is_zero, _ in pattern].count(False)
+    ends = _unit_ends(live)
+    short = short or qend <= _SHORT_WALK
     poch = None
-    for q0 in range(0, qend, _SHELL_BLOCK):
-        n = qend - q0
+    q0 = 0
+    while q0 < qend:
+        end = ends[q0] if q0 < _TABLE_MAX_Q else _unit_end(q0, live, qend)
         shells = table.get(q0)
         if shells is not None:
-            # Stored blocks stay shell by shell for now (ROADMAP item 1).
+            # Stored units stay shell by shell for now (ROADMAP item 1).
             # Evaluated whole they made solve-homogeneous 1.9x faster, but
             # perfbench checks every completed op with mpmath after its run,
             # so a 30 s run took 98 s of wall time instead of 60 s, and its
             # rss_mb rose 5 %.
-            for shell in shells[:n]:
+            for shell in shells[: qend - q0]:
                 yield (_NO_TERMS, (None,)) if shell is None else (shell, (slice(0, None),))
+            q0 = end
             continue
-        if poch is None or poch[1].size < q0 + _SHELL_BLOCK:
-            poch = log_pochhammer_table(params.eta, max(_TABLE_MAX_Q, 2 * (q0 + _SHELL_BLOCK)))
-        arrays, parts = _shell_block(params, pattern, poch, q0)
-        if store and q0 < _TABLE_MAX_Q:  # each shell as views of the block's arrays, or None
-            table.setdefault(q0, [None if part is None else tuple(a[part] for a in arrays) for part in parts])
-        parts = parts[:n]
-        end = max((part.stop for part in parts if part is not None), default=0)
-        yield tuple(a[:end] for a in arrays), parts
+        cut = _SHORT_WALK if short and q0 < _SHORT_WALK < end else end
+        for a, b in ((q0, cut), (cut, end)):
+            if a >= min(b, qend):
+                break
+            if poch is None or poch[1].size < b:
+                poch = log_pochhammer_table(params.eta, max(_TABLE_MAX_Q, 2 * b))
+            arrays, parts = _shell_block(params, pattern, poch, a, b - a)
+            if store and cut == end and q0 < _TABLE_MAX_Q:  # each shell as views of the unit's arrays, or None
+                table.setdefault(q0, [None if part is None else tuple(x[part] for x in arrays) for part in parts])
+            parts = parts[: qend - a]
+            stop = max((part.stop for part in parts if part is not None), default=0)
+            yield tuple(x[:stop] for x in arrays), parts
+        q0 = end
 
 
 _NO_TERMS = (np.empty(0),) * 4  # the arrays of a stored shell that pruning empties
 
 
-def _shell_block(params: MLParams, pattern, poch, q0: int) -> tuple:
-    """Shells q0..q0+_SHELL_BLOCK-1 of :func:`_walk`, built in one pass.
+def _shell_block(params: MLParams, pattern, poch, q0: int, size: int) -> tuple:
+    """Shells q0..q0+size-1 of :func:`_walk`, built in one pass.
 
-    The parameter-free part of the block comes from :func:`_index_block`, so
+    The parameter-free part of the unit comes from :func:`_index_block`, so
     one ``signed_log_rgamma`` call and a few in-place passes cover every
-    term.  Returns the block's arrays (l, p, k, logmag[, sign]) and each
+    term.  Returns the unit's arrays (l, p, k, logmag[, sign]) and each
     shell's slice of them, or None for a shell that pruning empties.
     """
     zero_dirs = tuple(d for d, (is_zero, _) in enumerate(pattern) if is_zero)
-    l, p, k, logfact, sizes, parts = _index_block(q0, zero_dirs, _SHELL_BLOCK)
+    l, p, k, logfact, sizes, parts = _index_block(q0, zero_dirs, size)
     garg = l * params.alpha
     garg += p * params.beta
     garg += k * params.gamma
     garg += params.delta
     sign, logmag = signed_log_rgamma(garg)
-    logmag += np.repeat(poch[1][q0 : q0 + _SHELL_BLOCK], sizes)  # poch is (signs, logs)
+    logmag += np.repeat(poch[1][q0 : q0 + size], sizes)  # poch is (signs, logs)
     logmag -= logfact
     negative = [n for n, (_, neg) in zip((l, p, k), pattern) if neg]
     if params.eta > 0.0 and params.delta > 0.0 and not negative:
         return (l, p, k, logmag), parts  # (eta)_q > 0 and 1/Gamma > 0 on the positive axis
-    sign *= np.repeat(poch[0][q0 : q0 + _SHELL_BLOCK], sizes)
+    sign *= np.repeat(poch[0][q0 : q0 + size], sizes)
     for n in negative:
         sign *= 1.0 - 2.0 * np.fmod(n, 2.0)  # (-1)^n
     return (l, p, k, logmag, sign), parts
 
 
 # Parameter-free index blocks of shells q0 < _TABLE_MAX_Q, keyed by (q0,
-# zero-slot directions, block size): 32 B per term, 5.3 MB at most.
+# zero-slot directions, size): one per unit of _unit_ends, 32 B per term,
+# 5.3 MB at most over all patterns; a piece of a unit (a short walk's) holds
+# views of the unit's block.
 _index_blocks: dict[tuple, tuple] = {}
 
 
@@ -277,22 +338,38 @@ def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
     index in a direction of ``zero_dirs`` pruned to 0; they are held as
     floats, the form every term formula reads.  ``sizes`` lists the terms
     per shell and ``parts`` each shell's slice of the arrays, or None for a
-    shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept.
+    shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept; one
+    that lies inside a unit of :func:`_unit_ends` but is not the whole unit
+    (a short walk's piece) holds views of the unit's block, so pieces add no
+    terms to the cache.
     """
     key = (q0, zero_dirs, size)
     if key in _index_blocks:
         return _index_blocks[key]
+    if q0 < _TABLE_MAX_Q:
+        units = _unit_ends(3 - len(zero_dirs))
+        u0 = max(s for s in units if s <= q0)
+        if (u0, units[u0]) != (q0, q0 + size) and q0 + size <= units[u0]:
+            *arrays, sizes, parts = _index_block(u0, zero_dirs, units[u0] - u0)
+            a = q0 - u0
+            lo, hi = int(sizes[:a].sum()), int(sizes[: a + size].sum())
+            parts = [None if s is None else slice(s.start - lo, s.stop - lo) for s in parts[a : a + size]]
+            return _index_blocks.setdefault(key, (*(x[lo:hi] for x in arrays), sizes[a : a + size], parts))
+    # the first live direction runs over 0..q, the next over what it leaves,
+    # and the last takes the rest; with no live direction only shell 0 has a term
+    live = [d for d in range(3) if d not in zero_dirs]
     qs = np.arange(q0, q0 + size)
-    # one row per (q, l), holding the q - l + 1 values of p
-    row_q = np.repeat(qs, qs + 1)
-    row_l = np.arange(row_q.size) - np.repeat(np.cumsum(qs + 1) - (qs + 1), qs + 1)
-    counts = row_q - row_l + 1
-    l = np.repeat(row_l, counts)
-    p = np.arange(l.size) - np.repeat(np.cumsum(counts) - counts, counts)
-    k = np.repeat(row_q, counts) - l - p
-    if zero_dirs:
-        keep = np.logical_and.reduce([(l, p, k)[d] == 0 for d in zero_dirs])
-        l, p, k = l[keep], p[keep], k[keep]
+    rest = qs if live else qs[qs == 0]
+    idx = {}
+    for d in live[:-1]:
+        counts = rest + 1
+        n = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+        idx = {e: np.repeat(x, counts) for e, x in idx.items()}
+        idx[d] = n
+        rest = np.repeat(rest, counts) - n
+    if live:
+        idx[live[-1]] = rest
+    l, p, k = (idx.get(d, np.zeros_like(rest)) for d in range(3))
     sizes = np.bincount(l + p + k - q0, minlength=size)
     ends = np.cumsum(sizes).tolist()
     parts = [slice(end - n, end) if n else None for end, n in zip(ends, sizes.tolist())]
@@ -411,6 +488,24 @@ def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None
     return _sum_trivariate(params, (u, v, w), ctrl or SeriesControl())
 
 
+def _short_walk(params: MLParams, args, rel_tol: float) -> bool:
+    """Whether an a-priori bound shows that the walk at ``args`` ends within _SHORT_WALK shells.
+
+    For delta > 0 every Gamma argument is positive, where Gamma >= 0.8856,
+    and the multinomial sum over l + p + k = q of |u|^l |v|^p |w|^k / (l! p!
+    k!) is Z^q / q! with Z = |u| + |v| + |w|, so the terms of shell q sum to
+    at most b_q = |(eta)_q| Z^q / (q! 0.8856).  From q = 5 on, b_(q+1) / b_q
+    = |eta + q| Z / (q + 1) <= Z max(1, |eta + 5| / 6), as (eta + q) / (q +
+    1) is monotone in q with limit 1.  So when that is at most 1 and b_5 <=
+    rel_tol, shells 5, 6 and 7 are quiet.  The bound only sizes the walk's
+    units, never a value.
+    """
+    eta, z = params.eta, sum(map(abs, args))
+    if params.delta <= 0.0 or z > 1.0 or z * abs(eta + 5.0) > 6.0:  # the ratio bound exceeds 1
+        return False
+    return abs(eta * (eta + 1.0) * (eta + 2.0) * (eta + 3.0) * (eta + 4.0)) * z**5 <= 120.0 * 0.8856 * rel_tol
+
+
 def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | None = None) -> EvalResult:
     """:func:`eval_trivariate` at ``args`` = (u, v, w).
 
@@ -429,7 +524,7 @@ def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | No
 
     def shells():
         phases, size, q = [], 0, 0
-        for arrays, parts in _walk(params, slots, ctrl.max_shell):
+        for arrays, parts in _walk(params, slots, ctrl.max_shell, _short_walk(params, args, ctrl.rel_tol)):
             q += len(parts)  # the unit's indices are below q
             if complex_in and size < q:
                 # e^(i n phi) per direction with a phase: built once per call, grown with the walk

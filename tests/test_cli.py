@@ -253,6 +253,18 @@ class TestSolve:
             os.umask(old)
         assert code == 0 and stat.S_IMODE(out.stat().st_mode) == 0o644
 
+    @pytest.mark.parametrize("oracle", [[], ["--oracle", "h=0.1"]])
+    @pytest.mark.parametrize("t_max", ["inf", "nan"])
+    def test_non_finite_t_max_exit_2(self, capsys, t_max, oracle):
+        # rejected before a grid is built on it: no linspace warning, and a
+        # message that names the option
+        code, out, err = run_cli(
+            capsys, "solve", "--alpha", "0.9", "--beta", "0.5", "--gamma", "0.3",
+            "--lambda1", "-0.7", "--lambda2", "-0.4", "--lambda3", "-0.6", "--y0", "1.5",
+            "--t-max", t_max, "--n-points", "4", *oracle,
+        )
+        assert (code, out, err) == (2, "", f"error: --t-max must be finite, got {float(t_max)}\n")
+
     def test_invalid_spec_exit_2_no_partial_file(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
         code, _, _ = run_cli(
@@ -387,6 +399,29 @@ class TestTable:
             "--delta", "1", "--eta", "1", "--t-max", "1", "--n-points", "2",
         )
         assert code == 2
+
+    def test_unconverged_rows_are_nan_exit_3(self, capsys):
+        # at --max-shell 3 only r = 0 converges; E(5, 5, 5) = e^15 must not
+        # be printed as the partial sum 691
+        code, out, err = run_cli(
+            capsys, "table", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
+            "--eta", "1", "--t-max", "5", "--n-points", "2", "--max-shell", "3",
+        )
+        assert code == 3 and err == "one or more points did not converge\n"
+        header, rows = parse_csv(out)
+        assert header == ["family", "alpha", "beta", "gamma", "delta", "eta", "r", "value"]
+        assert len(rows) == 3 * 4 and all(len(row) == 8 for row in rows)
+        values = {(row[0], float(row[6])): float(row[7]) for row in rows}
+        assert all(values[family, 0.0] == 1.0 for family in ("trivariate", "bivariate", "prabhakar", "two-param"))
+        assert all(math.isnan(value) for (_, r), value in values.items() if r > 0.0)
+
+    @pytest.mark.parametrize("t_max", ["inf", "-inf", "nan"])
+    def test_non_finite_t_max_exit_2(self, capsys, t_max):
+        code, out, err = run_cli(
+            capsys, "table", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
+            "--eta", "1", f"--t-max={t_max}", "--n-points", "2",
+        )
+        assert (code, out, err) == (2, "", f"error: --t-max must be finite, got {float(t_max)}\n")
 
 
 class TestConfig:

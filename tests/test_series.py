@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import sys
 import threading
@@ -539,33 +540,37 @@ class TestShellTable:
     def test_larger_max_shell_extends_the_table(self):
         cold = self._cold(lambda: _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)))
         series._table.cache_clear()
-        for _ in range(2):  # the second call stores the first block
-            short = eval_trivariate(self.P, 2.5, -1.5, 2.0, SeriesControl(max_shell=5))
+        for _ in range(2):  # the second call stores the first unit
+            short = eval_trivariate(self.P, 2.5, -1.5, 2.0, SeriesControl(max_shell=9))
         assert not short.converged
+        assert sorted(_stored_blocks(self.P, (2.5, -1.5, 2.0))) == [0]
         assert _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)) == cold
 
     def test_shells_past_the_stored_range(self):
         # exp(60) sums more shells than a table keeps
         p = MLParams(1, 1, 1, 1, 1)
-        cold = self._cold(lambda: _bits(eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)))
+        cold = self._cold(lambda: _bits(eval_trivariate(p, 30.0, 30.0, 0.0, CTRL)))
         assert cold[2] > series._TABLE_MAX_Q + 1
         for _ in range(2):  # the first call stores the table, the second reads it
-            assert _bits(eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)) == cold
-        assert sorted(_stored_blocks(p, (60.0, 0.0, 0.0))) == list(range(0, series._TABLE_MAX_Q, series._SHELL_BLOCK))
-        assert series._TABLE_MAX_Q % series._SHELL_BLOCK == 0  # the stored range ends at q = 95
+            assert _bits(eval_trivariate(p, 30.0, 30.0, 0.0, CTRL)) == cold
+        units = series._unit_ends(2)  # two live directions
+        assert sorted(_stored_blocks(p, (30.0, 30.0, 0.0))) == sorted(units) == [0, 55, 78]
+        assert max(units.values()) == series._TABLE_MAX_Q  # the stored range ends at q = 95
 
     def test_terminating_eta(self):
-        # (-11)_q vanishes from q = 12 on, inside the second block
-        p = MLParams(0.9, 0.7, 0.5, 1.1, -11.0)
+        # (-21)_q vanishes from q = 22 on, inside the second unit
+        p = MLParams(0.9, 0.7, 0.5, 1.1, -21.0)
         cold = self._cold(lambda: _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)))
-        assert cold[2] == 13
+        assert cold[2] == 23
         series._table.cache_clear()
-        for _ in range(2):
+        for _ in range(2):  # a walk of at most _SHORT_WALK shells stores nothing
             eval_trivariate(p, 0.8, -0.6, 0.4, SeriesControl(max_shell=2))
+        assert not _stored_blocks(p, (0.8, -0.6, 0.4))
+        eval_trivariate(p, 0.8, -0.6, 0.4, SeriesControl(max_shell=15))
         assert sorted(_stored_blocks(p, (0.8, -0.6, 0.4))) == [0]
         for _ in range(2):  # the first call completes the table, the second reads it
             assert _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)) == cold
-        assert sorted(_stored_blocks(p, (0.8, -0.6, 0.4))) == [0, series._SHELL_BLOCK]
+        assert sorted(_stored_blocks(p, (0.8, -0.6, 0.4))) == [0, series._unit_ends(3)[0]]
 
     def test_third_call_builds_no_stored_block(self, monkeypatch):
         # the first call stores nothing, the second stores what it builds
@@ -573,21 +578,38 @@ class TestShellTable:
         real = series._shell_block
         built = []
 
-        def counting(params, pattern, poch, q0):
+        def counting(params, pattern, poch, q0, size):
             built.append(q0)
-            return real(params, pattern, poch, q0)
+            return real(params, pattern, poch, q0, size)
 
         monkeypatch.setattr(series, "_shell_block", counting)
         p = MLParams(1, 1, 1, 1, 1)
         calls = []
         for _ in range(3):
             built.clear()
-            eval_trivariate(p, 60.0, 0.0, 0.0, CTRL)
+            eval_trivariate(p, 30.0, 30.0, 0.0, CTRL)
             calls.append(list(built))
         first, second, third = calls
-        assert first == second == list(range(0, first[-1] + 1, series._SHELL_BLOCK))
-        assert first[-1] >= series._TABLE_MAX_Q
+        assert first == second
+        assert [q0 for q0 in first if q0 < series._TABLE_MAX_Q] == list(series._unit_ends(2))
+        assert first[-1] > series._TABLE_MAX_Q
         assert third == [q0 for q0 in first if q0 >= series._TABLE_MAX_Q]
+
+    @pytest.mark.parametrize("first", ["tiny", "large"])
+    def test_short_and_long_walks_share_a_table(self, first):
+        # a short walk builds the first unit in two pieces and stores neither,
+        # so whichever kind of call comes first, the table holds the standard
+        # units and every call gives the bits of a cold one
+        args = {"tiny": (3e-4, 5e-4, 2e-4), "large": (1.7, 2.1, 0.9)}
+        assert series._short_walk(self.P, args["tiny"], CTRL.rel_tol)
+        assert not series._short_walk(self.P, args["large"], CTRL.rel_tol)
+        cold = {kind: self._cold(lambda: _bits(eval_trivariate(self.P, *a, CTRL))) for kind, a in args.items()}
+        assert cold["tiny"][2] <= series._SHORT_WALK < cold["large"][2]
+        order = [first, "large" if first == "tiny" else "tiny"] * 3
+        series._table.cache_clear()
+        assert [_bits(eval_trivariate(self.P, *args[kind], CTRL)) for kind in order] == [cold[kind] for kind in order]
+        stored = sorted(_stored_blocks(self.P, args["large"]))
+        assert stored and stored == sorted(series._unit_ends(3))[: len(stored)]
 
     def test_univariate_grid_warm_matches_cold(self):
         # the first two calls evaluate freshly built blocks whole, the third
@@ -601,8 +623,8 @@ class TestShellTable:
         assert _stored_blocks(self.P, tuple(x * rs.max() for x in lam.as_tuple()))
 
     def test_one_terms_pass_per_fresh_block(self, monkeypatch):
-        # a block built by the walk is evaluated in one _shell_terms call, a
-        # stored block shell by shell
+        # a unit built by the walk is evaluated in one _shell_terms call, a
+        # stored unit shell by shell
         real = series._shell_terms
         calls = []
 
@@ -618,9 +640,10 @@ class TestShellTable:
             res = eval_trivariate(p, 20.0, 20.0, 20.0, CTRL)
             per_call.append(len(calls))
         past = res.shells_used - series._TABLE_MAX_Q
-        assert past > series._SHELL_BLOCK  # the walk reads past the stored range
-        blocks = -(-res.shells_used // series._SHELL_BLOCK)
-        assert per_call == [blocks, blocks, series._TABLE_MAX_Q + -(-past // series._SHELL_BLOCK)]
+        assert past > 1  # the walk reads past the stored range
+        # past it every shell holds more than _UNIT_TERMS terms, a unit of its own
+        units = len(series._unit_ends(3)) + past
+        assert per_call == [units, units, series._TABLE_MAX_Q + past]
 
     def test_blocks_keep_alive_only_stored_shells(self):
         # a solve reads a few more shells at each larger r, and a budget sweep
@@ -687,41 +710,69 @@ class TestIndexBlocks:
         rng = np.random.default_rng(5)
         patterns = [(0.7, -0.4, 1.1), (0.0, 0.5, -0.3), (0.6, 0.0, 0.0), (0.0, 0.0, 0.0), (0.3 + 0.2j, 0.0, -0.9)]
         used = []
-        for block_size in (series._SHELL_BLOCK, 1):
+        for unit_size in (None, 1):  # the default units, then 1-shell units
             with monkeypatch.context() as m:
-                m.setattr(series, "_SHELL_BLOCK", block_size)
+                if unit_size:
+                    _fixed_units(m, unit_size)
                 for _ in range(3):
                     p = MLParams(*rng.uniform(0.4, 1.4, 3), rng.uniform(-1.0, 2.0), rng.uniform(0.5, 2.0))
                     for args in patterns:
                         for max_shell in (5, series._TABLE_MAX_Q + 14):
                             res = eval_trivariate(p, *[40.0 * z for z in args], SeriesControl(max_shell=max_shell))
                             used.append(res.shells_used)
-        assert max(used) > series._TABLE_MAX_Q + 1  # the sweep built blocks past the cached range
+            series._unit_ends.cache_clear()
+        assert max(used) > series._TABLE_MAX_Q + 1  # the sweep built units past the cached range
         cached = dict(series._index_blocks)
-        assert {size for _, _, size in cached} == {series._SHELL_BLOCK, 1}
-        n_patterns = 2**3
-        assert len(cached) <= n_patterns * sum(series._TABLE_MAX_Q // size for size in (series._SHELL_BLOCK, 1))
+        # a whole unit of either list, or a piece of a default unit split at _SHORT_WALK
+        units = {(q0, zero_dirs): end for zero_dirs in {key[1] for key in cached}
+                 for q0, end in series._unit_ends(3 - len(zero_dirs)).items()}
+        pieces = {(0, zero_dirs, series._SHORT_WALK) for _, zero_dirs in units} | {
+            (series._SHORT_WALK, zero_dirs, end - series._SHORT_WALK) for (q0, zero_dirs), end in units.items() if q0 == 0}
+        owned = 0
         for (q0, zero_dirs, size), block in cached.items():
-            assert q0 < series._TABLE_MAX_Q and q0 % size == 0
+            assert size == 1 or units[q0, zero_dirs] == q0 + size or (q0, zero_dirs, size) in pieces
             l, p, k, *gathers, sizes, parts = block
             assert len(parts) == size and all(a.size == sizes.sum() for a in (l, p, k, *gathers))
             assert not any(a.flags.writeable for a in (l, p, k, *gathers, sizes))
+            assert ((q0, zero_dirs, size) in pieces) == all(a.base is not None for a in (l, p, k, *gathers))
+            owned += sum(a.nbytes for a in (l, p, k, *gathers) if a.base is None)
             # the entry is what its key alone builds: no parameter went into it
             monkeypatch.setattr(series, "_index_blocks", {})
             assert self._bytes(series._index_block(q0, zero_dirs, size)) == self._bytes(block)
+        # each list of units covers a shell below the cached range at most once
+        # per pattern, at 32 B per term; pieces own no terms
+        terms = sum(series._terms_below(series._TABLE_MAX_Q, 3 - len(zd)) for zd in {zd for _, zd in units})
+        assert 0 < owned <= 2 * 32 * terms
+
+    def test_cache_holds_at_most_the_stated_size(self, monkeypatch):
+        # every default unit and every short-walk piece of all eight zero-slot
+        # patterns: 32 B per term of the cached range, 5.3 MB in all
+        monkeypatch.setattr(series, "_index_blocks", {})
+        patterns = [tuple(d for d in range(3) if mask >> d & 1) for mask in range(8)]
+        for zero_dirs in patterns:
+            units = series._unit_ends(3 - len(zero_dirs))
+            for q0, end in units.items():
+                series._index_block(q0, zero_dirs, end - q0)
+            series._index_block(0, zero_dirs, series._SHORT_WALK)
+            series._index_block(series._SHORT_WALK, zero_dirs, units[0] - series._SHORT_WALK)
+        owned = sum(a.nbytes for *arrays, _, _ in series._index_blocks.values() for a in arrays if a.base is None)
+        terms = sum(series._terms_below(series._TABLE_MAX_Q, 3 - len(zero_dirs)) for zero_dirs in patterns)
+        assert owned == 32 * terms <= 5.33e6
 
     def test_blocks_past_the_cached_range_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(series, "_index_blocks", {})
         q0 = series._TABLE_MAX_Q
-        first = series._index_block(q0, (), series._SHELL_BLOCK)
+        first = series._index_block(q0, (), 3)
         assert not series._index_blocks
-        assert self._bytes(series._index_block(q0, (), series._SHELL_BLOCK)) == self._bytes(first)
+        assert self._bytes(series._index_block(q0, (), 3)) == self._bytes(first)
 
     def test_shells_enumerate_the_simplex(self):
-        for zero_dirs in [(), (1,), (0, 2), (0, 1, 2)]:
-            l, p, k, logfact, sizes, parts = series._index_block(8, zero_dirs, 8)
+        # a short walk's piece, whole units, a range across units and one past the cached range
+        for (q0, size), zero_dirs in itertools.product([(8, 8), (0, 20), (20, 6), (94, 4), (96, 3)],
+                                                       [(), (1,), (0, 2), (0, 1, 2)]):
+            l, p, k, logfact, sizes, parts = series._index_block(q0, zero_dirs, size)
             assert all(a.dtype == np.float64 for a in (l, p, k, logfact))
-            for q, part in zip(range(8, 16), parts):
+            for q, part in zip(range(q0, q0 + size), parts):
                 want = [
                     (a, b, q - a - b)
                     for a in range(q + 1)
@@ -734,6 +785,80 @@ class TestIndexBlocks:
             assert sizes.tolist() == [0 if part is None else part.stop - part.start for part in parts]
 
 
+@pytest.mark.usefixtures("cold_tables")
+class TestUnits:
+    """The fresh units of the walk, sized by the terms of its pruning pattern."""
+
+    PATTERNS = {3: (0.7, -0.4, 1.1), 2: (0.7, 0.0, 1.1), 1: (0.0, 0.0, -1.1), 0: (0.0, 0.0, 0.0)}
+
+    def test_first_units_of_three_live_directions(self):
+        assert [q0 for q0 in series._unit_ends(3) if q0 <= 41] == [0, 20, 26, 30, 33, 36, 39, 41]
+
+    @pytest.mark.parametrize("short", [False, True])
+    @pytest.mark.parametrize("live", [3, 2, 1, 0])
+    def test_units_cover_the_walk_once(self, monkeypatch, live, short):
+        # every shell below the walk's end is built once and in order, no
+        # unit straddles the cached range's end, and each unit takes the
+        # fewest shells that reach the term budget unless clipped there or at
+        # the walk's end; a short walk builds its first unit in two pieces
+        real = series._shell_block
+        built = []
+
+        def counting(params, pattern, poch, q0, size):
+            arrays, parts = real(params, pattern, poch, q0, size)
+            built.append((q0, q0 + size, [0 if part is None else part.stop - part.start for part in parts]))
+            return arrays, parts
+
+        monkeypatch.setattr(series, "_shell_block", counting)
+        p = MLParams(0.9, 1.3, 0.5, 1.2, 1.4)
+        slots = tuple(series._arg_parts(z) for z in self.PATTERNS[live])
+        top = series._TABLE_MAX_Q
+        for qmax in (0, 6, 7, 8, 19, 20, 40, 95, 96, 97, 130) + {3: (), 2: (300,)}.get(live, (1700,)):
+            built.clear()
+            series._table.cache_clear()
+            qend = qmax + 1
+            assert sum(len(parts) for _, parts in series._walk(p, slots, qmax, short)) == qend
+            assert [a for a, _, _ in built] == [0] + [b for _, b, _ in built[:-1]]
+            assert built[-1][1] >= qend and not any(a < top < b for a, b, _ in built)
+            if short or qend <= series._SHORT_WALK:  # the pieces of the first unit
+                pieces = [(0, series._SHORT_WALK), (series._SHORT_WALK, series._unit_ends(live)[0])]
+                assert [(a, b) for a, b, _ in built[:2]] == pieces[: len(built)]
+                del built[:2]
+            for a, b, sizes in built:
+                assert len(sizes) == b - a
+                if b not in (top, qend):
+                    assert sum(sizes) >= series._UNIT_TERMS > sum(sizes[:-1])
+                if a < top:
+                    assert series._unit_ends(live)[a] == b
+
+    def test_short_walks_end_within_their_piece(self, rng):
+        # where the a-priori bound marks a walk short, shells 5 to 7 are quiet
+        ctrl = SeriesControl(rel_tol=1e-13, max_shell=series._SHORT_WALK - 1)
+        n_short = 0
+        for _ in range(300):
+            p = MLParams(*rng.uniform(0.3, 1.6, 3), rng.uniform(0.05, 2.5), rng.uniform(-8.0, 8.0))
+            mags = rng.uniform(0.0, 1.0, 3) * 10.0 ** rng.uniform(-4.0, -0.5)
+            args = [complex(z) if rng.uniform() < 0.5 else float(z.real)
+                    for z in mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))]
+            if not series._short_walk(p, args, ctrl.rel_tol):
+                continue
+            n_short += 1
+            kept = []
+            series._sum_trivariate(p, args, ctrl, kept)
+            assert all(np.abs(terms).sum() <= ctrl.rel_tol for _, terms in kept[5:] if terms is not None)
+        assert n_short > 30
+
+
+def _fixed_units(m, size):
+    """Fresh units of ``size`` shells in place of the term budget, under monkeypatch context ``m``.
+
+    Past the cached range they are clipped at the walk's end, as budgeted
+    units are; the caller clears ``series._unit_ends`` once ``m`` is undone.
+    """
+    m.setattr(series, "_unit_end", lambda q0, live, stop: min(q0 + size, stop))
+    series._unit_ends.cache_clear()
+
+
 def _shell_bytes(walk):
     # each shell's arrays (l, p, k, logmag and, unless every term is positive, sign)
     shells = [None if part is None else tuple(a[part] for a in arrays) for arrays, parts in walk for part in parts]
@@ -742,8 +867,9 @@ def _shell_bytes(walk):
 
 @pytest.mark.usefixtures("cold_tables")
 class TestBlockBuild:
-    """Shells and single-index denominators built a block at a time match,
-    bit for bit, the same code building one shell or one term per kernel call."""
+    """Shells and single-index denominators built a unit or block at a time
+    match, bit for bit, the same code building one shell or one term per
+    kernel call."""
 
     SLOTS = {
         "positive": (0.7, 0.4, 1.1),
@@ -755,12 +881,13 @@ class TestBlockBuild:
 
     @staticmethod
     def _blocked(monkeypatch, size, fn):
-        # a shell block or a term block of ``size`` instead of the default
+        # fresh units of ``size`` shells and term blocks of ``size`` terms instead of the defaults
         with monkeypatch.context() as m:
-            m.setattr(series, "_SHELL_BLOCK", size)
+            _fixed_units(m, size)
             m.setattr(series, "_TERM_BLOCK", size)
             series._table.cache_clear()
             out = fn()
+        series._unit_ends.cache_clear()
         series._table.cache_clear()
         return out
 
@@ -774,31 +901,36 @@ class TestBlockBuild:
         except (DomainError, SeriesOverflowError) as exc:
             return type(exc).__name__, str(exc)
 
-    # Blocks of 1 and 3 shells (or terms) against the default of 8: a kernel
-    # whose bits depend on a term's position in its unit fails one of them.
+    # Units of 1 and 3 shells (or term blocks of 1 and 3 terms) against the
+    # default units of about _UNIT_TERMS terms (and blocks of 16 terms): a
+    # kernel whose bits depend on a term's position in its unit fails one of them.
     SIZES = (1, 3)
 
-    @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
+    @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0, -21.0])
     @pytest.mark.parametrize("slots", list(SLOTS))
     def test_shells_for_every_budget(self, monkeypatch, slots, eta):
-        # negative integer eta ends the series inside the first or second block
+        # negative integer eta ends the series inside the first or second
+        # unit; budgets run through the first three units of three live
+        # directions, and odd ones walk as short walks, whose first unit
+        # comes in two pieces
         p = MLParams(0.9, 1.3, 0.5, -0.7, eta)
         parts = tuple(series._arg_parts(z) for z in self.SLOTS[slots])
-        for qmax in range(2 * series._SHELL_BLOCK + 2):
-            wants = [self._blocked(monkeypatch, size, lambda: _shell_bytes(series._walk(p, parts, qmax)))
+        for qmax in range(series._unit_ends(3)[0] + 8):
+            short = bool(qmax % 2)
+            wants = [self._blocked(monkeypatch, size, lambda: _shell_bytes(series._walk(p, parts, qmax, short)))
                      for size in self.SIZES]
             for _ in range(3):  # cold, storing, then read from the table
-                assert [_shell_bytes(series._walk(p, parts, qmax))] * len(self.SIZES) == wants
+                assert [_shell_bytes(series._walk(p, parts, qmax, short))] * len(self.SIZES) == wants
             series._table.cache_clear()
 
-    @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0])
+    @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0, -21.0])
     @pytest.mark.parametrize("slots", list(SLOTS))
     def test_trivariate_values(self, monkeypatch, slots, eta):
-        # small arguments stop reading inside the first block, then budgets
-        # across two blocks read on; the table carried across these calls
-        # must give what a cold, unblocked build gives for each
+        # small arguments make short walks, then budgets across three units
+        # read on; the table carried across these calls must give what a
+        # cold, unblocked build gives for each
         p = MLParams(0.9, 1.3, 0.5, 1.2, eta)
-        calls = [(1e-3, 700)] * 2 + [(3.0, m) for m in range(1, 2 * series._SHELL_BLOCK + 2)] + [(3.0, 700)]
+        calls = [(1e-3, 700)] * 2 + [(3.0, m) for m in range(1, series._unit_ends(3)[0] + 8)] + [(3.0, 700)]
 
         def outcomes(cold):
             out = []
@@ -822,7 +954,7 @@ class TestBlockBuild:
         p = MLParams(1.1, 1.0, 0.9, 1.2, 1.4)
         run = lambda: [_bits(eval_trivariate(p, *args, CTRL)) for _ in range(3)]  # cold, storing, stored
         got = run()
-        assert got[0][2] > series._TABLE_MAX_Q + series._SHELL_BLOCK
+        assert got[0][2] > series._TABLE_MAX_Q + 8  # several units past the stored range
         assert got == [got[0]] * 3 == self._blocked(monkeypatch, size, run)
 
     @pytest.mark.parametrize("eta, delta, args, signed", [
@@ -840,7 +972,7 @@ class TestBlockBuild:
         p = MLParams(0.9, 1.3, 0.5, delta, eta)
         slots = tuple(series._arg_parts(z) for z in args)
         for _ in range(3):  # cold, storing, then read from the table
-            units = list(series._walk(p, slots, 2 * series._SHELL_BLOCK + 1))
+            units = list(series._walk(p, slots, series._unit_ends(3)[0] + 5))
             assert {len(arrays) for arrays, parts in units if parts != (None,)} == {5 if signed else 4}
         pars = (0.9, 1.3, 0.5, delta, eta)
         scale = brute_trivariate(*pars, *args, absolute=True)
