@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Shell-walk times of one-shot and repeated series calls, measured in one process.
 
-    python3 scripts/walk_times.py [--samples N] [--seed S] [--part {kinds,units,all}] [--base DIR]
+    python3 scripts/walk_times.py [--samples N] [--seed S] [--base DIR]
 
 For each kind of call, N fresh parameter sets are drawn from a seeded
 generator and each is called three times on the same input: the first call
@@ -21,13 +21,13 @@ tri-long walk took up to twice as long as one after its own.  The first table
 then also gives the base tree's medians, the median over inputs of the
 per-input time ratio (this tree over the base), and the number of inputs
 whose results (value, error estimate, shells, flag) differ between the
-trees.  The base tree needs only the public API.
+trees.  The base tree needs only the public API, as the second table is
+left out then.
 
-A second table times the shell-assembly layer alone: one freshly built
-unit per standard unit start q0 = 0, 20, 26, ... up to q0 = 41 with three
-live directions (and the 8-shell piece that a short walk builds first),
-real (tri-real's inputs, every term positive) and complex (tri-complex's),
-N fresh parameter sets each.  It gives the median microseconds of the build
+Without ``--base``, a second table times the shell-assembly layer alone:
+one freshly built unit per standard unit start q0 = 0, 20, 26, ... up to
+q0 = 41 with three live directions, real (tri-real's inputs, every term
+positive) and complex (tri-complex's), N fresh parameter sets each.  It gives the median microseconds of the build
 (``series._shell_block``, index blocks already cached, as in a call) and of
 the terms pass (``series._shell_terms``; the per-call phase tables are built
 outside the timing), their sum, and the shells and terms of the unit, so
@@ -39,9 +39,9 @@ the unit disk), ``uni`` is ``eval_univariate`` with lambdas in [0, 1.5] and
 r in [0.2, 1.5], and ``tri-long`` is ``eval_trivariate`` with orders in
 [0.9, 1.25] and real arguments in [25, 35], walks of about 130 shells that
 run past the stored range.  ``tri-tiny`` takes arguments in [0, 1e-3]
-(walks of about 7 shells, which the a-priori bound marks short),
-``tri-1d`` v = w = 0 and u in [0, 30] (one live direction), and ``tri-2d``
-w = 0 and u, v in [0, 8] (two), all on tri-real's parameter ranges.
+(walks of about 7 shells, inside the first unit), ``tri-1d`` v = w = 0
+and u in [0, 30] (one live direction), and ``tri-2d`` w = 0 and u, v in
+[0, 8] (two), all on tri-real's parameter ranges.
 BLAS is capped at one thread before numpy loads, as in the benchmark.  Run
 from the root of a source checkout; trivml is imported from ./src.
 """
@@ -114,7 +114,7 @@ def _unit_times(rng: random.Random, samples: int) -> None:
     """Print build and terms times of one fresh shell unit per standard unit start."""
     u = rng.uniform
     ends = series._unit_ends(3)
-    units = [(0, series._SHORT_WALK)] + [(q0, end) for q0, end in ends.items() if q0 <= 41]
+    units = [(q0, end) for q0, end in ends.items() if q0 <= 41]
     print(f"\n{'unit':<8} {'q0':>3} {'end':>4} {'terms':>6} {'build us':>9} {'terms us':>9} {'total us':>9}")
     for kind in ("real", "complex"):
         for q0, end in units:
@@ -145,16 +145,16 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--samples", type=int, default=300, help="parameter sets per kind (default 300)")
     ap.add_argument("--seed", type=int, default=1, help="input seed (default 1)")
-    ap.add_argument("--part", choices=("kinds", "units", "all"), default="all", help="tables to print (default all)")
     ap.add_argument("--base", default=None, help="source tree to compare against, call by call")
     opts = ap.parse_args()
     if opts.samples < 1:
         ap.error("--samples must be >= 1")
     rng = random.Random(opts.seed)
-    if opts.part != "units":
-        _kind_times(rng, opts.samples, [trivml] if opts.base is None else [trivml, _load_tree(opts.base)])
-    if opts.part != "kinds":
+    if opts.base is None:
+        _kind_times(rng, opts.samples, [trivml])
         _unit_times(rng, opts.samples)
+    else:
+        _kind_times(rng, opts.samples, [trivml, _load_tree(opts.base)])
 
 
 def _kind_times(rng: random.Random, samples: int, trees: list) -> None:

@@ -154,12 +154,6 @@ class _IOFailure(Exception):
     pass
 
 
-def _check_t_max(t_max: float) -> None:
-    """DomainError for a NaN or infinite --t-max, before any grid is built on it."""
-    if not math.isfinite(t_max):
-        raise DomainError(f"--t-max must be finite, got {t_max}")
-
-
 def cmd_solve(opts: dict) -> int:
     _require(opts, ["alpha", "beta", "gamma", "lambda1", "lambda2", "lambda3", "y0", "t_max", "n_points"])
     spec = IVPSpec(
@@ -167,9 +161,8 @@ def cmd_solve(opts: dict) -> int:
         opts["lambda1"], opts["lambda2"], opts["lambda3"], opts["y0"],
     )
     n_points = opts["n_points"]
-    _check_t_max(opts["t_max"])
-    if n_points < 1 or not opts["t_max"] > 0.0:
-        raise DomainError("need n_points >= 1 and t_max > 0")
+    if n_points < 1 or not 0.0 < opts["t_max"] < math.inf:
+        raise DomainError("need n_points >= 1 and 0 < t_max < inf")
     grid = np.linspace(0.0, opts["t_max"], n_points + 1)
     g = _load_forcing(opts["forcing"]) if opts.get("forcing") else None
 
@@ -230,9 +223,8 @@ def cmd_table(opts: dict) -> int:
     deltas, etas = _float_list(opts["delta"]), _float_list(opts["eta"])
     scale_u, scale_v, scale_w = (1.0 if opts.get(k) is None else opts[k] for k in ("u", "v", "w"))
     n_points = opts["n_points"]
-    _check_t_max(opts["t_max"])
-    if n_points < 1 or not opts["t_max"] > 0.0 or min(map(len, (alphas, betas, gammas, deltas, etas))) < 1:
-        raise DomainError("need nonempty sweep lists, n_points >= 1 and t_max > 0")
+    if n_points < 1 or not 0.0 < opts["t_max"] < math.inf or min(map(len, (alphas, betas, gammas, deltas, etas))) < 1:
+        raise DomainError("need nonempty sweep lists, n_points >= 1 and 0 < t_max < inf")
     rs = np.linspace(0.0, opts["t_max"], n_points + 1)
     ctrl = _ctrl(opts)
 

@@ -182,11 +182,6 @@ _SHELL_TABLES = 4
 # of a unit covers about as many terms early in a walk as late.
 _UNIT_TERMS = 1500
 
-# Shells of a walk that an a-priori bound shows to end early (_short_walk);
-# such a walk builds them as a piece of the first unit, and stores neither
-# that piece nor the rest of the unit.
-_SHORT_WALK = 8
-
 
 @functools.lru_cache(maxsize=_SHELL_TABLES)
 def _table(params: MLParams, pattern: tuple) -> dict:
@@ -222,7 +217,7 @@ def _unit_ends(live: int) -> dict:
     return ends
 
 
-def _walk(params: MLParams, slots, qmax: int, short: bool = False):
+def _walk(params: MLParams, slots, qmax: int):
     """Argument-free parts (l, p, k, logmag[, sign]) of shells q = 0..qmax, a unit at a time.
 
     ``slots`` holds one :func:`_arg_parts` tuple per index direction (l, p, k);
@@ -243,15 +238,11 @@ def _walk(params: MLParams, slots, qmax: int, short: bool = False):
     built by :func:`_shell_block`, each from its first shell to its end in
     :func:`_unit_ends` (below _TABLE_MAX_Q, built whole and yielded up to the
     last shell the walk may read) or :func:`_unit_end` (past it, clipped at
-    that shell): about _UNIT_TERMS terms each.  A ``short`` walk (see
-    :func:`_short_walk`), or one of at most _SHORT_WALK shells, builds the
-    unit that straddles shell _SHORT_WALK, the first, in two pieces split
-    there and stores neither, so a stored key q0 always covers the same
-    shells.  Which walks are short only sizes what is built, never a bit of
-    what is yielded.  A shell read from the table is a unit of its own, its
-    stored arrays with the one slice ``slice(0, None)``, so stored units are
-    still evaluated shell by shell.  The Pochhammer table
-    covers the stored range and grows with the walk, rebuilt at twice the
+    that shell): about _UNIT_TERMS terms each, so a stored key q0 always
+    covers the same shells.  A shell read from the table is a unit of its
+    own, its stored arrays with the one slice ``slice(0, None)``, so stored
+    units are still evaluated shell by shell.  The Pochhammer table covers
+    the stored range and grows with the walk, rebuilt at twice the
     length a unit needs, so its size follows the shells read, not ``qmax``;
     its cumulative sum keeps the bits of every entry it had.
     """
@@ -264,7 +255,6 @@ def _walk(params: MLParams, slots, qmax: int, short: bool = False):
         qend = min(qend, 1 - int(params.eta))
     live = [is_zero for is_zero, _ in pattern].count(False)
     ends = _unit_ends(live)
-    short = short or qend <= _SHORT_WALK
     poch = None
     q0 = 0
     while q0 < qend:
@@ -280,18 +270,14 @@ def _walk(params: MLParams, slots, qmax: int, short: bool = False):
                 yield (_NO_TERMS, (None,)) if shell is None else (shell, (slice(0, None),))
             q0 = end
             continue
-        cut = _SHORT_WALK if short and q0 < _SHORT_WALK < end else end
-        for a, b in ((q0, cut), (cut, end)):
-            if a >= min(b, qend):
-                break
-            if poch is None or poch[1].size < b:
-                poch = log_pochhammer_table(params.eta, max(_TABLE_MAX_Q, 2 * b))
-            arrays, parts = _shell_block(params, pattern, poch, a, b - a)
-            if store and cut == end and q0 < _TABLE_MAX_Q:  # each shell as views of the unit's arrays, or None
-                table.setdefault(q0, [None if part is None else tuple(x[part] for x in arrays) for part in parts])
-            parts = parts[: qend - a]
-            stop = max((part.stop for part in parts if part is not None), default=0)
-            yield tuple(x[:stop] for x in arrays), parts
+        if poch is None or poch[1].size < end:
+            poch = log_pochhammer_table(params.eta, max(_TABLE_MAX_Q, 2 * end))
+        arrays, parts = _shell_block(params, pattern, poch, q0, end - q0)
+        if store and q0 < _TABLE_MAX_Q:  # each shell as views of the unit's arrays, or None
+            table.setdefault(q0, [None if part is None else tuple(a[part] for a in arrays) for part in parts])
+        parts = parts[: qend - q0]
+        stop = max((part.stop for part in parts if part is not None), default=0)
+        yield tuple(a[:stop] for a in arrays), parts
         q0 = end
 
 
@@ -326,8 +312,7 @@ def _shell_block(params: MLParams, pattern, poch, q0: int, size: int) -> tuple:
 
 # Parameter-free index blocks of shells q0 < _TABLE_MAX_Q, keyed by (q0,
 # zero-slot directions, size): one per unit of _unit_ends, 32 B per term,
-# 5.3 MB at most over all patterns; a piece of a unit (a short walk's) holds
-# views of the unit's block.
+# 5.3 MB at most over all patterns.
 _index_blocks: dict[tuple, tuple] = {}
 
 
@@ -338,23 +323,11 @@ def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
     index in a direction of ``zero_dirs`` pruned to 0; they are held as
     floats, the form every term formula reads.  ``sizes`` lists the terms
     per shell and ``parts`` each shell's slice of the arrays, or None for a
-    shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept; one
-    that lies inside a unit of :func:`_unit_ends` but is not the whole unit
-    (a short walk's piece) holds views of the unit's block, so pieces add no
-    terms to the cache.
+    shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept.
     """
     key = (q0, zero_dirs, size)
     if key in _index_blocks:
         return _index_blocks[key]
-    if q0 < _TABLE_MAX_Q:
-        units = _unit_ends(3 - len(zero_dirs))
-        u0 = max(s for s in units if s <= q0)
-        if (u0, units[u0]) != (q0, q0 + size) and q0 + size <= units[u0]:
-            *arrays, sizes, parts = _index_block(u0, zero_dirs, units[u0] - u0)
-            a = q0 - u0
-            lo, hi = int(sizes[:a].sum()), int(sizes[: a + size].sum())
-            parts = [None if s is None else slice(s.start - lo, s.stop - lo) for s in parts[a : a + size]]
-            return _index_blocks.setdefault(key, (*(x[lo:hi] for x in arrays), sizes[a : a + size], parts))
     # the first live direction runs over 0..q, the next over what it leaves,
     # and the last takes the rest; with no live direction only shell 0 has a term
     live = [d for d in range(3) if d not in zero_dirs]
@@ -488,24 +461,6 @@ def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None
     return _sum_trivariate(params, (u, v, w), ctrl or SeriesControl())
 
 
-def _short_walk(params: MLParams, args, rel_tol: float) -> bool:
-    """Whether an a-priori bound shows that the walk at ``args`` ends within _SHORT_WALK shells.
-
-    For delta > 0 every Gamma argument is positive, where Gamma >= 0.8856,
-    and the multinomial sum over l + p + k = q of |u|^l |v|^p |w|^k / (l! p!
-    k!) is Z^q / q! with Z = |u| + |v| + |w|, so the terms of shell q sum to
-    at most b_q = |(eta)_q| Z^q / (q! 0.8856).  From q = 5 on, b_(q+1) / b_q
-    = |eta + q| Z / (q + 1) <= Z max(1, |eta + 5| / 6), as (eta + q) / (q +
-    1) is monotone in q with limit 1.  So when that is at most 1 and b_5 <=
-    rel_tol, shells 5, 6 and 7 are quiet.  The bound only sizes the walk's
-    units, never a value.
-    """
-    eta, z = params.eta, sum(map(abs, args))
-    if params.delta <= 0.0 or z > 1.0 or z * abs(eta + 5.0) > 6.0:  # the ratio bound exceeds 1
-        return False
-    return abs(eta * (eta + 1.0) * (eta + 2.0) * (eta + 3.0) * (eta + 4.0)) * z**5 <= 120.0 * 0.8856 * rel_tol
-
-
 def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | None = None) -> EvalResult:
     """:func:`eval_trivariate` at ``args`` = (u, v, w).
 
@@ -524,7 +479,7 @@ def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | No
 
     def shells():
         phases, size, q = [], 0, 0
-        for arrays, parts in _walk(params, slots, ctrl.max_shell, _short_walk(params, args, ctrl.rel_tol)):
+        for arrays, parts in _walk(params, slots, ctrl.max_shell):
             q += len(parts)  # the unit's indices are below q
             if complex_in and size < q:
                 # e^(i n phi) per direction with a phase: built once per call, grown with the walk

@@ -257,13 +257,13 @@ class TestSolve:
     @pytest.mark.parametrize("t_max", ["inf", "nan"])
     def test_non_finite_t_max_exit_2(self, capsys, t_max, oracle):
         # rejected before a grid is built on it: no linspace warning, and a
-        # message that names the option
+        # message that names t_max
         code, out, err = run_cli(
             capsys, "solve", "--alpha", "0.9", "--beta", "0.5", "--gamma", "0.3",
             "--lambda1", "-0.7", "--lambda2", "-0.4", "--lambda3", "-0.6", "--y0", "1.5",
             "--t-max", t_max, "--n-points", "4", *oracle,
         )
-        assert (code, out, err) == (2, "", f"error: --t-max must be finite, got {float(t_max)}\n")
+        assert (code, out, err) == (2, "", "error: need n_points >= 1 and 0 < t_max < inf\n")
 
     def test_invalid_spec_exit_2_no_partial_file(self, capsys, tmp_path):
         out_file = tmp_path / "trace.csv"
@@ -421,7 +421,7 @@ class TestTable:
             capsys, "table", "--alpha", "1", "--beta", "1", "--gamma", "1", "--delta", "1",
             "--eta", "1", f"--t-max={t_max}", "--n-points", "2",
         )
-        assert (code, out, err) == (2, "", f"error: --t-max must be finite, got {float(t_max)}\n")
+        assert (code, out, err) == (2, "", "error: need nonempty sweep lists, n_points >= 1 and 0 < t_max < inf\n")
 
 
 class TestConfig:

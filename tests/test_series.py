@@ -541,21 +541,26 @@ class TestShellTable:
         cold = self._cold(lambda: _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)))
         series._table.cache_clear()
         for _ in range(2):  # the second call stores the first unit
-            short = eval_trivariate(self.P, 2.5, -1.5, 2.0, SeriesControl(max_shell=9))
+            short = eval_trivariate(self.P, 2.5, -1.5, 2.0, SeriesControl(max_shell=5))
         assert not short.converged
         assert sorted(_stored_blocks(self.P, (2.5, -1.5, 2.0))) == [0]
         assert _bits(eval_trivariate(self.P, 2.5, -1.5, 2.0, CTRL)) == cold
 
+    # One live direction stores one unit of 96 shells and walks on in units
+    # of up to 1500 shells; two store the units at 0, 55 and 78.
+    PAST = {1: (60.0, 0.0, 0.0), 2: (30.0, 30.0, 0.0)}
+
     def test_shells_past_the_stored_range(self):
-        # exp(60) sums more shells than a table keeps
+        # exp(60) and exp(60) in two live directions sum more shells than a table keeps
         p = MLParams(1, 1, 1, 1, 1)
-        cold = self._cold(lambda: _bits(eval_trivariate(p, 30.0, 30.0, 0.0, CTRL)))
-        assert cold[2] > series._TABLE_MAX_Q + 1
-        for _ in range(2):  # the first call stores the table, the second reads it
-            assert _bits(eval_trivariate(p, 30.0, 30.0, 0.0, CTRL)) == cold
-        units = series._unit_ends(2)  # two live directions
-        assert sorted(_stored_blocks(p, (30.0, 30.0, 0.0))) == sorted(units) == [0, 55, 78]
-        assert max(units.values()) == series._TABLE_MAX_Q  # the stored range ends at q = 95
+        for live, args in self.PAST.items():
+            cold = self._cold(lambda: _bits(eval_trivariate(p, *args, CTRL)))
+            assert cold[2] > series._TABLE_MAX_Q + 1
+            for _ in range(2):  # the first call stores the table, the second reads it
+                assert _bits(eval_trivariate(p, *args, CTRL)) == cold
+            units = series._unit_ends(live)
+            assert sorted(_stored_blocks(p, args)) == sorted(units) == {1: [0], 2: [0, 55, 78]}[live]
+            assert max(units.values()) == series._TABLE_MAX_Q  # the stored range ends at q = 95
 
     def test_terminating_eta(self):
         # (-21)_q vanishes from q = 22 on, inside the second unit
@@ -563,10 +568,8 @@ class TestShellTable:
         cold = self._cold(lambda: _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)))
         assert cold[2] == 23
         series._table.cache_clear()
-        for _ in range(2):  # a walk of at most _SHORT_WALK shells stores nothing
+        for _ in range(2):
             eval_trivariate(p, 0.8, -0.6, 0.4, SeriesControl(max_shell=2))
-        assert not _stored_blocks(p, (0.8, -0.6, 0.4))
-        eval_trivariate(p, 0.8, -0.6, 0.4, SeriesControl(max_shell=15))
         assert sorted(_stored_blocks(p, (0.8, -0.6, 0.4))) == [0]
         for _ in range(2):  # the first call completes the table, the second reads it
             assert _bits(eval_trivariate(p, 0.8, -0.6, 0.4, CTRL)) == cold
@@ -584,27 +587,27 @@ class TestShellTable:
 
         monkeypatch.setattr(series, "_shell_block", counting)
         p = MLParams(1, 1, 1, 1, 1)
-        calls = []
-        for _ in range(3):
-            built.clear()
-            eval_trivariate(p, 30.0, 30.0, 0.0, CTRL)
-            calls.append(list(built))
-        first, second, third = calls
-        assert first == second
-        assert [q0 for q0 in first if q0 < series._TABLE_MAX_Q] == list(series._unit_ends(2))
-        assert first[-1] > series._TABLE_MAX_Q
-        assert third == [q0 for q0 in first if q0 >= series._TABLE_MAX_Q]
+        for live, args in self.PAST.items():
+            series._table.cache_clear()
+            calls = []
+            for _ in range(3):
+                built.clear()
+                eval_trivariate(p, *args, CTRL)
+                calls.append(list(built))
+            first, second, third = calls
+            assert first == second
+            assert [q0 for q0 in first if q0 < series._TABLE_MAX_Q] == list(series._unit_ends(live))
+            assert first[-1] >= series._TABLE_MAX_Q
+            assert third == [q0 for q0 in first if q0 >= series._TABLE_MAX_Q]
 
     @pytest.mark.parametrize("first", ["tiny", "large"])
-    def test_short_and_long_walks_share_a_table(self, first):
-        # a short walk builds the first unit in two pieces and stores neither,
-        # so whichever kind of call comes first, the table holds the standard
+    def test_tiny_and_large_walks_share_a_table(self, first):
+        # a walk of a few shells and one of a few units, alternating on one
+        # parameter set: whichever comes first, the table holds the standard
         # units and every call gives the bits of a cold one
         args = {"tiny": (3e-4, 5e-4, 2e-4), "large": (1.7, 2.1, 0.9)}
-        assert series._short_walk(self.P, args["tiny"], CTRL.rel_tol)
-        assert not series._short_walk(self.P, args["large"], CTRL.rel_tol)
         cold = {kind: self._cold(lambda: _bits(eval_trivariate(self.P, *a, CTRL))) for kind, a in args.items()}
-        assert cold["tiny"][2] <= series._SHORT_WALK < cold["large"][2]
+        assert cold["tiny"][2] < 8 and cold["large"][2] > series._unit_ends(3)[0]
         order = [first, "large" if first == "tiny" else "tiny"] * 3
         series._table.cache_clear()
         assert [_bits(eval_trivariate(self.P, *args[kind], CTRL)) for kind in order] == [cold[kind] for kind in order]
@@ -723,39 +726,34 @@ class TestIndexBlocks:
             series._unit_ends.cache_clear()
         assert max(used) > series._TABLE_MAX_Q + 1  # the sweep built units past the cached range
         cached = dict(series._index_blocks)
-        # a whole unit of either list, or a piece of a default unit split at _SHORT_WALK
+        # a whole unit of either list: a default unit or a 1-shell one
         units = {(q0, zero_dirs): end for zero_dirs in {key[1] for key in cached}
                  for q0, end in series._unit_ends(3 - len(zero_dirs)).items()}
-        pieces = {(0, zero_dirs, series._SHORT_WALK) for _, zero_dirs in units} | {
-            (series._SHORT_WALK, zero_dirs, end - series._SHORT_WALK) for (q0, zero_dirs), end in units.items() if q0 == 0}
+        assert {size == 1 for _, _, size in cached} == {False, True}
         owned = 0
         for (q0, zero_dirs, size), block in cached.items():
-            assert size == 1 or units[q0, zero_dirs] == q0 + size or (q0, zero_dirs, size) in pieces
+            assert q0 < series._TABLE_MAX_Q and (size == 1 or units[q0, zero_dirs] == q0 + size)
             l, p, k, *gathers, sizes, parts = block
             assert len(parts) == size and all(a.size == sizes.sum() for a in (l, p, k, *gathers))
             assert not any(a.flags.writeable for a in (l, p, k, *gathers, sizes))
-            assert ((q0, zero_dirs, size) in pieces) == all(a.base is not None for a in (l, p, k, *gathers))
-            owned += sum(a.nbytes for a in (l, p, k, *gathers) if a.base is None)
+            owned += sum(a.nbytes for a in (l, p, k, *gathers))
             # the entry is what its key alone builds: no parameter went into it
             monkeypatch.setattr(series, "_index_blocks", {})
             assert self._bytes(series._index_block(q0, zero_dirs, size)) == self._bytes(block)
         # each list of units covers a shell below the cached range at most once
-        # per pattern, at 32 B per term; pieces own no terms
+        # per pattern, at 32 B per term
         terms = sum(series._terms_below(series._TABLE_MAX_Q, 3 - len(zd)) for zd in {zd for _, zd in units})
         assert 0 < owned <= 2 * 32 * terms
 
     def test_cache_holds_at_most_the_stated_size(self, monkeypatch):
-        # every default unit and every short-walk piece of all eight zero-slot
-        # patterns: 32 B per term of the cached range, 5.3 MB in all
+        # every default unit of all eight zero-slot patterns: 32 B per term of
+        # the cached range, 5.3 MB in all
         monkeypatch.setattr(series, "_index_blocks", {})
         patterns = [tuple(d for d in range(3) if mask >> d & 1) for mask in range(8)]
         for zero_dirs in patterns:
-            units = series._unit_ends(3 - len(zero_dirs))
-            for q0, end in units.items():
+            for q0, end in series._unit_ends(3 - len(zero_dirs)).items():
                 series._index_block(q0, zero_dirs, end - q0)
-            series._index_block(0, zero_dirs, series._SHORT_WALK)
-            series._index_block(series._SHORT_WALK, zero_dirs, units[0] - series._SHORT_WALK)
-        owned = sum(a.nbytes for *arrays, _, _ in series._index_blocks.values() for a in arrays if a.base is None)
+        owned = sum(a.nbytes for *arrays, _, _ in series._index_blocks.values() for a in arrays)
         terms = sum(series._terms_below(series._TABLE_MAX_Q, 3 - len(zero_dirs)) for zero_dirs in patterns)
         assert owned == 32 * terms <= 5.33e6
 
@@ -767,7 +765,7 @@ class TestIndexBlocks:
         assert self._bytes(series._index_block(q0, (), 3)) == self._bytes(first)
 
     def test_shells_enumerate_the_simplex(self):
-        # a short walk's piece, whole units, a range across units and one past the cached range
+        # a range inside a unit, whole units, a range across units and one past the cached range
         for (q0, size), zero_dirs in itertools.product([(8, 8), (0, 20), (20, 6), (94, 4), (96, 3)],
                                                        [(), (1,), (0, 2), (0, 1, 2)]):
             l, p, k, logfact, sizes, parts = series._index_block(q0, zero_dirs, size)
@@ -794,13 +792,12 @@ class TestUnits:
     def test_first_units_of_three_live_directions(self):
         assert [q0 for q0 in series._unit_ends(3) if q0 <= 41] == [0, 20, 26, 30, 33, 36, 39, 41]
 
-    @pytest.mark.parametrize("short", [False, True])
     @pytest.mark.parametrize("live", [3, 2, 1, 0])
-    def test_units_cover_the_walk_once(self, monkeypatch, live, short):
+    def test_units_cover_the_walk_once(self, monkeypatch, live):
         # every shell below the walk's end is built once and in order, no
         # unit straddles the cached range's end, and each unit takes the
         # fewest shells that reach the term budget unless clipped there or at
-        # the walk's end; a short walk builds its first unit in two pieces
+        # the walk's end
         real = series._shell_block
         built = []
 
@@ -817,36 +814,15 @@ class TestUnits:
             built.clear()
             series._table.cache_clear()
             qend = qmax + 1
-            assert sum(len(parts) for _, parts in series._walk(p, slots, qmax, short)) == qend
+            assert sum(len(parts) for _, parts in series._walk(p, slots, qmax)) == qend
             assert [a for a, _, _ in built] == [0] + [b for _, b, _ in built[:-1]]
             assert built[-1][1] >= qend and not any(a < top < b for a, b, _ in built)
-            if short or qend <= series._SHORT_WALK:  # the pieces of the first unit
-                pieces = [(0, series._SHORT_WALK), (series._SHORT_WALK, series._unit_ends(live)[0])]
-                assert [(a, b) for a, b, _ in built[:2]] == pieces[: len(built)]
-                del built[:2]
             for a, b, sizes in built:
                 assert len(sizes) == b - a
                 if b not in (top, qend):
                     assert sum(sizes) >= series._UNIT_TERMS > sum(sizes[:-1])
                 if a < top:
                     assert series._unit_ends(live)[a] == b
-
-    def test_short_walks_end_within_their_piece(self, rng):
-        # where the a-priori bound marks a walk short, shells 5 to 7 are quiet
-        ctrl = SeriesControl(rel_tol=1e-13, max_shell=series._SHORT_WALK - 1)
-        n_short = 0
-        for _ in range(300):
-            p = MLParams(*rng.uniform(0.3, 1.6, 3), rng.uniform(0.05, 2.5), rng.uniform(-8.0, 8.0))
-            mags = rng.uniform(0.0, 1.0, 3) * 10.0 ** rng.uniform(-4.0, -0.5)
-            args = [complex(z) if rng.uniform() < 0.5 else float(z.real)
-                    for z in mags * np.exp(1j * rng.uniform(-np.pi, np.pi, 3))]
-            if not series._short_walk(p, args, ctrl.rel_tol):
-                continue
-            n_short += 1
-            kept = []
-            series._sum_trivariate(p, args, ctrl, kept)
-            assert all(np.abs(terms).sum() <= ctrl.rel_tol for _, terms in kept[5:] if terms is not None)
-        assert n_short > 30
 
 
 def _fixed_units(m, size):
@@ -911,24 +887,22 @@ class TestBlockBuild:
     def test_shells_for_every_budget(self, monkeypatch, slots, eta):
         # negative integer eta ends the series inside the first or second
         # unit; budgets run through the first three units of three live
-        # directions, and odd ones walk as short walks, whose first unit
-        # comes in two pieces
+        # directions
         p = MLParams(0.9, 1.3, 0.5, -0.7, eta)
         parts = tuple(series._arg_parts(z) for z in self.SLOTS[slots])
         for qmax in range(series._unit_ends(3)[0] + 8):
-            short = bool(qmax % 2)
-            wants = [self._blocked(monkeypatch, size, lambda: _shell_bytes(series._walk(p, parts, qmax, short)))
+            wants = [self._blocked(monkeypatch, size, lambda: _shell_bytes(series._walk(p, parts, qmax)))
                      for size in self.SIZES]
             for _ in range(3):  # cold, storing, then read from the table
-                assert [_shell_bytes(series._walk(p, parts, qmax, short))] * len(self.SIZES) == wants
+                assert [_shell_bytes(series._walk(p, parts, qmax))] * len(self.SIZES) == wants
             series._table.cache_clear()
 
     @pytest.mark.parametrize("eta", [1.4, -3.0, -9.0, -11.0, -21.0])
     @pytest.mark.parametrize("slots", list(SLOTS))
     def test_trivariate_values(self, monkeypatch, slots, eta):
-        # small arguments make short walks, then budgets across three units
-        # read on; the table carried across these calls must give what a
-        # cold, unblocked build gives for each
+        # small arguments stop reading inside the first unit, then budgets
+        # across three units read on; the table carried across these calls
+        # must give what a cold, unblocked build gives for each
         p = MLParams(0.9, 1.3, 0.5, 1.2, eta)
         calls = [(1e-3, 700)] * 2 + [(3.0, m) for m in range(1, series._unit_ends(3)[0] + 8)] + [(3.0, 700)]
 
