@@ -21,17 +21,29 @@ tri-long walk took up to twice as long as one after its own.  The first table
 then also gives the base tree's medians, the median over inputs of the
 per-input time ratio (this tree over the base), and the number of inputs
 whose results (value, error estimate, shells, flag) differ between the
-trees.  The base tree needs only the public API, as the second table is
-left out then.
+trees.  The base tree needs only the public API (and ``cli._fmt`` for the
+solve kind's rows), as the unit table is left out then.
+
+A last table times the ``solve`` kind, one op per spec: ``solver.solve``
+over 257 points on [0, 1], as ``trivml solve --t-max 1 --n-points 256``
+runs it, first on the README's damped spec and then on specs drawn as the
+solve-homogeneous benchmark draws them (orders in tenths from its order
+triples, lambdas and y0 from its ranges), min(N, 40) ops.  A spec is solved
+once per tree, the tree that goes first alternating from op to op.  It
+prints the median milliseconds per op; with ``--base`` also the base tree's
+median, the median over ops of the per-op ratio (this tree over the base)
+and the number of ops whose CSV rows (``r,y,backend,abs_err``, formatted as
+the CLI writes them) differ between the trees.
 
 Without ``--base``, a second table times the shell-assembly layer alone:
 one freshly built unit per standard unit start q0 = 0, 20, 26, ... up to
 q0 = 41 with three live directions, real (tri-real's inputs, every term
-positive) and complex (tri-complex's), N fresh parameter sets each.  It gives the median microseconds of the build
-(``series._shell_block``, index blocks already cached, as in a call) and of
-the terms pass (``series._shell_terms``; the per-call phase tables are built
-outside the timing), their sum, and the shells and terms of the unit, so
-the fixed cost per unit and the cost per term can be read off.
+positive) and complex (tri-complex's), N fresh parameter sets each.  It
+gives the median microseconds of the build (``series._shell_block``, index
+blocks already cached, as in a call) and of the terms pass
+(``series._shell_terms``; the per-call log|z| vector and phase tables are
+built outside the timing), their sum, and the shells and terms of the unit,
+so the fixed cost per unit and the cost per term can be read off.
 
 Kinds: ``tri-real`` and ``tri-complex`` are ``eval_trivariate`` with
 eval-scatter's parameter ranges and arguments (real in [0, 2.5], complex in
@@ -109,6 +121,34 @@ def _load_tree(root: str):
 
 KINDS = ("tri-real", "tri-complex", "uni", "tri-long", "tri-tiny", "tri-1d", "tri-2d")
 
+# The solve kind: at most SOLVE_OPS specs.  Orders in tenths as the
+# solve-homogeneous benchmark draws them (1 >= alpha > beta > gamma > 0);
+# the README's damped spec comes first and the warm-up spec warms each tree.
+SOLVE_OPS = 40
+TRIPLES = tuple((a, b, g) for a in range(10, 6, -1) for b in range(a - 2, a - 6, -1) for g in range(b - 1, 0, -1))
+DAMPED = ((9, 5, 3), (-0.7, -0.4, -0.6), 1.5)
+WARM_UP = ((10, 4, 2), (-0.5, -0.3, -0.4), 1.2)
+GRID = np.linspace(0.0, 1.0, 257)
+
+
+def _draw_spec(rng: random.Random) -> tuple:
+    """(orders in tenths, lambdas, y0) of one solve op, freshly drawn."""
+    u = rng.uniform
+    lams = (round(u(-0.8, -0.5), 2), round(u(-0.3, 0.1), 2), round(u(-0.35, -0.15), 2))
+    return rng.choice(TRIPLES), lams, round(u(1.0, 2.0), 2)
+
+
+def _solve(tree, spec: tuple):
+    """``tree``'s solution trace of ``spec`` over GRID, as ``trivml solve`` computes it."""
+    orders, lams, y0 = spec
+    return tree.solver.solve(tree.IVPSpec(*(n / 10 for n in orders), *lams, y0), None, GRID)
+
+
+def _csv_rows(tree, trace) -> list:
+    """The CSV rows ``trivml solve`` writes for ``trace``, formatted by ``tree``."""
+    fmt = importlib.import_module(tree.__name__ + ".cli")._fmt
+    return [f"{fmt(r)},{fmt(y)},series,{fmt(e)}" for r, y, e in zip(GRID, trace.values, trace.abs_err)]
+
 
 def _unit_times(rng: random.Random, samples: int) -> None:
     """Print build and terms times of one fresh shell unit per standard unit start."""
@@ -128,17 +168,19 @@ def _unit_times(rng: random.Random, samples: int) -> None:
                 slots = tuple(series._arg_parts(z) for z in args)
                 pattern = tuple((slot[0], slot[3] < 0.0) for slot in slots)
                 poch = log_pochhammer_table(params.eta, end)
+                live = [slot for slot in slots if not slot[0]]
+                log_z = np.array([slot[1] for slot in live])
                 n = np.arange(end)
-                phases = [(d, np.exp(1j * slot[2] * n)) for d, slot in enumerate(slots) if slot[2]]
+                phases = [(row, np.exp(1j * slot[2] * n)) for row, slot in enumerate(live) if slot[2]]
                 t0 = time.perf_counter()
                 arrays, _ = series._shell_block(params, pattern, poch, q0, end - q0)
                 t1 = time.perf_counter()
-                series._shell_terms(arrays, slots, phases)
+                series._shell_terms(arrays, log_z, phases)
                 t2 = time.perf_counter()
                 build.append(t1 - t0)
                 terms.append(t2 - t1)
             b, t = 1e6 * statistics.median(build), 1e6 * statistics.median(terms)
-            print(f"{kind:<8} {q0:3d} {end:4d} {arrays[0].size:6d} {b:9.1f} {t:9.1f} {b + t:9.1f}")
+            print(f"{kind:<8} {q0:3d} {end:4d} {arrays[1].size:6d} {b:9.1f} {t:9.1f} {b + t:9.1f}")
 
 
 def main() -> None:
@@ -150,11 +192,35 @@ def main() -> None:
     if opts.samples < 1:
         ap.error("--samples must be >= 1")
     rng = random.Random(opts.seed)
+    trees = [trivml] if opts.base is None else [trivml, _load_tree(opts.base)]
+    _kind_times(rng, opts.samples, trees)
     if opts.base is None:
-        _kind_times(rng, opts.samples, [trivml])
         _unit_times(rng, opts.samples)
-    else:
-        _kind_times(rng, opts.samples, [trivml, _load_tree(opts.base)])
+    _solve_times(rng, min(opts.samples, SOLVE_OPS), trees)
+
+
+def _solve_times(rng: random.Random, ops: int, trees: list) -> None:
+    """Print the median time of a solve op per tree, and with two trees the per-op ratio and differing ops."""
+    for tree in trees:  # warm-up: fills the process-wide index blocks
+        _solve(tree, WARM_UP)
+    times = [[] for _ in trees]
+    rows = [[] for _ in trees]
+    for i in range(ops):
+        spec = DAMPED if i == 0 else _draw_spec(rng)
+        for t in sorted(range(len(trees)), key=lambda t: (t + i) % len(trees)):
+            t0 = time.perf_counter()
+            trace = _solve(trees[t], spec)
+            times[t].append(time.perf_counter() - t0)
+            rows[t].append(_csv_rows(trees[t], trace))
+    med = lambda xs: 1e3 * statistics.median(xs)  # noqa: E731
+    if len(trees) == 1:
+        print(f"\n{'kind':<12} {'ops':>4} {'ms':>8}")
+        print(f"{'solve':<12} {ops:4d} {med(times[0]):8.2f}")
+        return
+    ratio = statistics.median(x / b for x, b in zip(*times))
+    differ = sum(a != b for a, b in zip(*rows))
+    print(f"\n{'kind':<12} {'ops':>4} {'base ms':>8} {'ms':>8} {'ratio':>6} {'differ':>6}")
+    print(f"{'solve':<12} {ops:4d} {med(times[1]):8.2f} {med(times[0]):8.2f} {ratio:6.3f} {differ:6d}")
 
 
 def _kind_times(rng: random.Random, samples: int, trees: list) -> None:

@@ -131,8 +131,18 @@ def log_pochhammer(eta: float, m: int) -> tuple[float, float]:
 
 
 def log_pochhammer_table(eta: float, qmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """Signs and log magnitudes of (eta)_q for q = 0..qmax, as two arrays."""
+    """Signs and log magnitudes of (eta)_q for q = 0..qmax, as two arrays.
+
+    For eta > 0 every factor eta + j is positive: every sign is +1 and the
+    logs are those of the factors themselves, with the bits of the general
+    path.
+    """
     factors = eta + np.arange(qmax, dtype=float)
+    if eta > 0.0:
+        logs = np.empty(qmax + 1)
+        logs[0] = 0.0
+        np.cumsum(np.log(factors), out=logs[1:])
+        return np.ones(qmax + 1), logs
     with np.errstate(divide="ignore"):
         logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(factors)))))
     signs = np.concatenate(([1.0], np.cumprod(np.sign(factors))))

@@ -13,18 +13,23 @@ separately, and so do the phases of complex arguments, gathered from tables
 built once per call.  The argument-free part of each shell is built once per
 parameter set, a unit of shells per kernel call from a shared
 parameter-free index block, and kept in a small table (:func:`_walk`); a call
-adds only n log|z| per slot.  A fresh unit takes the fewest shells whose
-terms, counted under the call's pruning pattern, reach _UNIT_TERMS, so its
-fixed cost is spread over about as many terms early in a walk as late.  The
-walk yields units of one format, a unit it has just built or a single stored
-shell; each unit is evaluated in one pass and its shells summed by one
-reduceat, and no step reads a term's position in its unit, so every bit is
-the same whichever unit carries it.
+adds only n log|z| per live direction.  An index block holds the indices of
+its live directions (the nonzero arguments) as one (directions x terms)
+matrix, so the gamma arguments and the n log|z| sums of a unit are each one
+contraction with it, numpy's own einsum loop; a BLAS product would round a
+term by its position in the array (:func:`_shell_terms`).  A fresh unit
+takes the fewest shells whose terms, counted under the call's pruning
+pattern, reach _UNIT_TERMS, so its fixed cost is spread over about as many
+terms early in a walk as late.  The walk yields units of one format, a unit
+it has just built or a single stored shell; each unit is evaluated in one
+pass and its shells summed by one reduceat, and no step reads a term's
+position in its unit, so every bit is the same whichever unit carries it.
 
 The Prabhakar and one-over-one Wright series keep their own term formulas, so
 the engines cross-check each other, but all three share one stopping rule
-(:func:`_sum_until_quiet`): a budget hit returns ``converged=False``, and a
-shell or partial sum outside the double range raises SeriesOverflowError.
+(:func:`_sum_until_quiet`): a budget hit returns ``converged=False``, unless
+the series ends within it, and a shell or partial sum outside the double
+range raises SeriesOverflowError.
 The rule also holds the one numpy error scope of the summation, so the terms
 it draws may overflow to inf or nan without a warning before it rejects them.
 
@@ -48,6 +53,11 @@ from scipy.special import gammaln
 
 from .errors import DomainError, SeriesOverflowError
 from .kernels import log_pochhammer, log_pochhammer_table, signed_log_rgamma
+
+try:  # np.einsum's own loop, without its Python wrapper (about 1.4 us a call)
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:  # numpy < 2
+    _einsum = np.einsum
 
 __all__ = [
     "MLParams",
@@ -218,18 +228,19 @@ def _unit_ends(live: int) -> dict:
 
 
 def _walk(params: MLParams, slots, qmax: int):
-    """Argument-free parts (l, p, k, logmag[, sign]) of shells q = 0..qmax, a unit at a time.
+    """Argument-free parts (indices, logmag[, sign]) of shells q = 0..qmax, a unit at a time.
 
     ``slots`` holds one :func:`_arg_parts` tuple per index direction (l, p, k);
     only its pattern (is_zero, is negative) enters.  A zero slot prunes every
     index that would raise it to a positive power, and a shell that pruning
-    empties comes out as None.  The indices are floats; ``logmag`` is
-    log|(eta)_q / (Gamma(l alpha + p beta + k gamma + delta) l! p! k!)| and
-    ``sign`` includes (-1)^n for every negative slot.  ``sign`` is left out
-    when every term is positive (eta > 0, delta > 0, so that every gamma
-    argument is positive, and no negative slot).  Callers add n log|z| per
-    slot.  Stops early once (eta)_q vanishes, at q = 1 - eta for a
-    non-positive integer eta, since every later shell is then identically
+    empties comes out as None.  ``indices`` is the index matrix of
+    :func:`_index_block`, one float row per live direction (a nonzero slot);
+    ``logmag`` is log|(eta)_q / (Gamma(l alpha + p beta + k gamma + delta)
+    l! p! k!)| and ``sign`` includes (-1)^n for every negative slot.
+    ``sign`` is left out when every term is positive (eta > 0, delta > 0, so
+    that every gamma argument is positive, and no negative slot).  Callers
+    add n log|z| per live direction.  Stops early once (eta)_q vanishes
+    (:func:`_vanishing_shell`), since every later shell is then identically
     zero.
 
     Yields units of one format, (arrays, parts): the arrays to be evaluated
@@ -241,7 +252,8 @@ def _walk(params: MLParams, slots, qmax: int):
     that shell): about _UNIT_TERMS terms each, so a stored key q0 always
     covers the same shells.  A shell read from the table is a unit of its
     own, its stored arrays with the one slice ``slice(0, None)``, so stored
-    units are still evaluated shell by shell.  The Pochhammer table covers
+    units are still evaluated shell by shell.  Arrays are cut along their
+    last axis, the terms.  The Pochhammer table covers
     the stored range and grows with the walk, rebuilt at twice the
     length a unit needs, so its size follows the shells read, not ``qmax``;
     its cumulative sum keeps the bits of every entry it had.
@@ -250,9 +262,7 @@ def _walk(params: MLParams, slots, qmax: int):
     table = _table(params, pattern)
     store = "seen" in table
     table["seen"] = True
-    qend = qmax + 1
-    if params.eta <= 0.0 and params.eta == math.floor(params.eta):
-        qend = min(qend, 1 - int(params.eta))
+    qend = min(qmax + 1, _vanishing_shell(params.eta))
     live = [is_zero for is_zero, _ in pattern].count(False)
     ends = _unit_ends(live)
     poch = None
@@ -274,40 +284,54 @@ def _walk(params: MLParams, slots, qmax: int):
             poch = log_pochhammer_table(params.eta, max(_TABLE_MAX_Q, 2 * end))
         arrays, parts = _shell_block(params, pattern, poch, q0, end - q0)
         if store and q0 < _TABLE_MAX_Q:  # each shell as views of the unit's arrays, or None
-            table.setdefault(q0, [None if part is None else tuple(a[part] for a in arrays) for part in parts])
+            table.setdefault(q0, [None if part is None else tuple(a[..., part] for a in arrays) for part in parts])
         parts = parts[: qend - q0]
         stop = max((part.stop for part in parts if part is not None), default=0)
-        yield tuple(a[:stop] for a in arrays), parts
+        yield tuple(a[..., :stop] for a in arrays), parts
         q0 = end
 
 
-_NO_TERMS = (np.empty(0),) * 4  # the arrays of a stored shell that pruning empties
+# The arrays of a stored shell that pruning empties, which only a walk with no
+# live direction has: a 0 x 0 index matrix and no logmag.
+_NO_TERMS = (np.empty((0, 0)), np.empty(0))
+
+
+def _vanishing_shell(eta: float) -> float:
+    """The first q with (eta)_q = 0: 1 - eta for a non-positive integer eta, else inf.
+
+    The triple and Prabhakar series end there: every later term is zero.
+    """
+    if eta <= 0.0 and eta == math.floor(eta):
+        return 1 - int(eta)
+    return math.inf
 
 
 def _shell_block(params: MLParams, pattern, poch, q0: int, size: int) -> tuple:
     """Shells q0..q0+size-1 of :func:`_walk`, built in one pass.
 
-    The parameter-free part of the unit comes from :func:`_index_block`, so
-    one ``signed_log_rgamma`` call and a few in-place passes cover every
-    term.  Returns the unit's arrays (l, p, k, logmag[, sign]) and each
-    shell's slice of them, or None for a shell that pruning empties.
+    The parameter-free part of the unit comes from :func:`_index_block`.
+    The gamma arguments are one contraction of the live directions' orders
+    with its index matrix (see :func:`_shell_terms` for why an einsum), plus
+    delta; then one reciprocal-gamma call and a few in-place passes cover
+    every term.  Returns the unit's arrays (indices, logmag[, sign]) and
+    each shell's slice of them, or None for a shell that pruning empties.
     """
     zero_dirs = tuple(d for d, (is_zero, _) in enumerate(pattern) if is_zero)
-    l, p, k, logfact, sizes, parts = _index_block(q0, zero_dirs, size)
-    garg = l * params.alpha
-    garg += p * params.beta
-    garg += k * params.gamma
+    indices, logfact, sizes, parts = _index_block(q0, zero_dirs, size)
+    live = [(order, neg) for order, (is_zero, neg) in zip((params.alpha, params.beta, params.gamma), pattern)
+            if not is_zero]
+    garg = _einsum("i,ij->j", np.array([order for order, _ in live]), indices)
     garg += params.delta
     sign, logmag = signed_log_rgamma(garg)
     logmag += np.repeat(poch[1][q0 : q0 + size], sizes)  # poch is (signs, logs)
     logmag -= logfact
-    negative = [n for n, (_, neg) in zip((l, p, k), pattern) if neg]
-    if params.eta > 0.0 and params.delta > 0.0 and not negative:
-        return (l, p, k, logmag), parts  # (eta)_q > 0 and 1/Gamma > 0 on the positive axis
+    if params.eta > 0.0 and params.delta > 0.0 and not any(neg for _, neg in live):
+        return (indices, logmag), parts  # (eta)_q > 0 and 1/Gamma > 0 on the positive axis
     sign *= np.repeat(poch[0][q0 : q0 + size], sizes)
-    for n in negative:
-        sign *= 1.0 - 2.0 * np.fmod(n, 2.0)  # (-1)^n
-    return (l, p, k, logmag, sign), parts
+    for n, (_, neg) in zip(indices, live):
+        if neg:
+            sign *= 1.0 - 2.0 * np.fmod(n, 2.0)  # (-1)^n
+    return (indices, logmag, sign), parts
 
 
 # Parameter-free index blocks of shells q0 < _TABLE_MAX_Q, keyed by (q0,
@@ -317,13 +341,16 @@ _index_blocks: dict[tuple, tuple] = {}
 
 
 def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
-    """(l, p, k, log l! + log p! + log k!, sizes, parts) of shells q0..q0+size-1.
+    """(indices, log l! + log p! + log k!, sizes, parts) of shells q0..q0+size-1.
 
     The indices of each shell l + p + k = q run over l, then p, with every
-    index in a direction of ``zero_dirs`` pruned to 0; they are held as
-    floats, the form every term formula reads.  ``sizes`` lists the terms
-    per shell and ``parts`` each shell's slice of the arrays, or None for a
-    shell that pruning empties.  Blocks below _TABLE_MAX_Q are kept.
+    index in a direction of ``zero_dirs`` pruned to 0.  ``indices`` holds
+    the live directions (those not in ``zero_dirs``, in the order l, p, k)
+    as one C-contiguous (directions x terms) float matrix, the form every
+    term formula reads: its rows are the live ones of l, p and k, and a
+    pruned direction has no row.  ``sizes`` lists the terms per shell and
+    ``parts`` each shell's slice of the terms, or None for a shell that
+    pruning empties.  Blocks below _TABLE_MAX_Q are kept.
     """
     key = (q0, zero_dirs, size)
     if key in _index_blocks:
@@ -347,35 +374,44 @@ def _index_block(q0: int, zero_dirs: tuple, size: int) -> tuple:
     ends = np.cumsum(sizes).tolist()
     parts = [slice(end - n, end) if n else None for end, n in zip(ends, sizes.tolist())]
     logfact = gammaln(np.arange(q0 + size) + 1.0)
-    block = (l.astype(float), p.astype(float), k.astype(float), logfact[l] + logfact[p] + logfact[k], sizes, parts)
+    indices = np.array([idx[d] for d in live], dtype=float).reshape(len(live), rest.size)
+    block = (indices, logfact[l] + logfact[p] + logfact[k], sizes, parts)
     if q0 < _TABLE_MAX_Q:
-        for a in block[:5]:  # shared by every caller, and so are the shells' views
+        for a in block[:3]:  # shared by every caller, and so are the shells' views
             a.flags.writeable = False
         block = _index_blocks.setdefault(key, block)
     return block
 
 
-def _shell_terms(arrays, slots, phases) -> np.ndarray:
-    """The terms of one unit of :func:`_walk` at the arguments of ``slots``.
+def _shell_terms(arrays, log_z, phases) -> np.ndarray:
+    """The terms of one unit of :func:`_walk` at the arguments of a call.
 
-    Adds n log|z| to the argument-free logmag for each nonzero slot and
-    takes one real exp; then applies the unit's sign, if it has one, and for
-    complex arguments multiplies in e^(i n phi) for each (direction, table)
-    of the call's ``phases`` (empty for a real call), gathered by n.  No
-    step reads a term's position, so a term's bits do not depend on the unit
-    that carries it.
+    ``log_z`` holds log|z| of each live direction, the rows of the unit's
+    index matrix.  One contraction of it with that matrix gives the
+    argument part of each exponent, l log|u| + p log|v| + k log|w| with the
+    zero slots left out; the argument-free logmag is added to it and one
+    real exp taken in place.  Then the unit's sign, if it has one, is
+    applied, and for complex arguments e^(i n phi) is multiplied in for each
+    (row, table) of the call's ``phases`` (empty for a real call), gathered
+    by that row's n.
+
+    No step reads a term's position, so a term's bits do not depend on the
+    unit that carries it.  That is why the contraction is numpy's own einsum
+    loop, which does the same arithmetic on every column: a BLAS product
+    (``@``, ``np.dot``, or einsum with ``optimize=True``) treats a vector
+    remainder differently from its body, so a term's bits would follow its
+    position in the array.
     """
-    l, p, k, logmag, *sign = arrays
-    for n, (is_zero, log_z, _, _) in zip((l, p, k), slots):
-        if not is_zero:
-            logmag = logmag + n * log_z
-    terms = np.exp(logmag)
+    indices, logmag, *sign = arrays
+    terms = _einsum("i,ij->j", log_z, indices)
+    terms += logmag
+    np.exp(terms, out=terms)
     if sign:
         terms *= sign[0]
-    for d, table in phases:
+    for row, table in phases:
         # a ufunc call, never an operator: numpy may compute ``a * temporary``
         # in place in a large temporary, where a complex product rounds differently
-        terms = np.multiply(terms, table[arrays[d].astype(np.intp)])
+        terms = np.multiply(terms, table[indices[row].astype(np.intp)])
     return terms
 
 
@@ -394,10 +430,14 @@ def _first_live(first: float, step: float) -> int:
     return math.floor(-first / step) + 1
 
 
-def _sum_until_quiet(shells, ctrl: SeriesControl, zero, q_live: int = 0) -> EvalResult:
+def _sum_until_quiet(shells, ctrl: SeriesControl, zero, q_live: int = 0, q_end: float = math.inf) -> EvalResult:
     """Sum the shells of a series under the shared stopping rule.
 
-    ``shells`` yields shell sums and ends early only for a terminating series.
+    ``shells`` yields shell sums and ends early only for a terminating series,
+    whose shells from ``q_end`` on are all zero.  A series that ends no
+    later than right past the budget (q_end <= max_shell + 1) is summed
+    whole: it returns converged with a zero estimate and ``shells_used`` =
+    q_end + 1, the vanishing shell counted.
     Convergence needs ``_QUIET_SHELLS`` successive shells of
     magnitude at most ``rel_tol * max(|partial|, 1)`` and a geometric tail
     estimate under the same bound.  Shells before ``q_live`` never count as
@@ -436,6 +476,8 @@ def _sum_until_quiet(shells, ctrl: SeriesControl, zero, q_live: int = 0) -> Eval
                     quiet -= 1
             else:
                 quiet = 0
+    if q_end <= ctrl.max_shell + 1:  # every nonzero shell is summed
+        return EvalResult(partial, 0.0, q_end + 1, True)
     return EvalResult(partial, _tail_estimate(last_mag, last_mags), ctrl.max_shell + 1, False)
 
 
@@ -464,12 +506,15 @@ def eval_trivariate(params: MLParams, u, v, w, ctrl: SeriesControl | None = None
 def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | None = None) -> EvalResult:
     """:func:`eval_trivariate` at ``args`` = (u, v, w).
 
-    When ``kept`` is a list, each shell summed is appended to it as (parts,
-    terms): a tuple whose first three entries are the shell's l, p and k, and
-    its term array; or (None, None) for a shell that pruning emptied.
+    When ``kept`` is a list, each shell summed is appended to it as
+    (indices, terms): the shell's index matrix, one row per nonzero argument
+    in the order u, v, w, and its term array; or (None, None) for a shell
+    that pruning emptied.
     """
     complex_in = any(isinstance(z, complex) and z.imag != 0.0 for z in args)
     slots = tuple(_arg_parts(z) for z in args)
+    live = [slot for slot in slots if not slot[0]]  # one per row of the index matrices
+    log_z = np.array([slot[1] for slot in live])
     q_live = 0
     if params.delta <= 0.0:
         # a Gamma argument of shell q is at least delta + q * (the least order
@@ -482,22 +527,23 @@ def _sum_trivariate(params: MLParams, args, ctrl: SeriesControl, kept: list | No
         for arrays, parts in _walk(params, slots, ctrl.max_shell):
             q += len(parts)  # the unit's indices are below q
             if complex_in and size < q:
-                # e^(i n phi) per direction with a phase: built once per call, grown with the walk
+                # e^(i n phi) per row with a phase: built once per call, grown with the walk
                 size = max(_TABLE_MAX_Q, 2 * q)
-                phases = [(d, np.exp(1j * slot[2] * np.arange(size))) for d, slot in enumerate(slots) if slot[2]]
+                phases = [(row, np.exp(1j * slot[2] * np.arange(size))) for row, slot in enumerate(live) if slot[2]]
             # one pass over the unit's terms and one reduceat over its nonempty
             # shells, each a segment of its own, so a sum's bits do not depend on
             # the unit; a shell that pruning empties is 0.0 and no segment, since
             # reduceat gives a[i] for an empty segment
-            terms = _shell_terms(arrays, slots, phases)
+            terms = _shell_terms(arrays, log_z, phases)
             sums = iter(np.add.reduceat(terms, [part.start for part in parts if part is not None]).tolist())
             for part in parts:
                 if kept is not None:
-                    kept.append((None, None) if part is None else (tuple(a[part] for a in arrays[:3]), terms[part]))
+                    kept.append((None, None) if part is None else (arrays[0][:, part], terms[part]))
                 yield 0.0 if part is None else next(sums)
 
     try:
-        return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0, q_live)
+        return _sum_until_quiet(shells(), ctrl, 0.0 + 0.0j if complex_in else 0.0, q_live,
+                                _vanishing_shell(params.eta))
     except SeriesOverflowError as exc:
         mags = ",".join(f"{abs(z):.3g}" for z in args)
         raise SeriesOverflowError(f"{exc} (params={params}, |u|,|v|,|w|={mags})") from None
@@ -596,7 +642,9 @@ def eval_univariate_grid(
     probe = EvalResult(res.value * scale, res.abs_error_estimate * scale, res.shells_used, res.converged)
 
     # the terms summed at rmax are the coefficients c_lpk, on index arrays idx
-    *idx, coeffs = (np.concatenate(c) for c in zip(*[(*s[:3], t) for s, t in kept if s is not None]))
+    rows, coeffs = (np.concatenate(c, axis=-1) for c in zip(*[shell for shell in kept if shell[0] is not None]))
+    rows = iter(rows)  # one per nonzero argument; a zero one's index is 0
+    idx = [np.zeros(coeffs.size) if z == 0.0 else next(rows) for z in args]
     # an index direction runs over every shell unless its argument is zero
     extents = [1 if z == 0.0 else len(kept) for z in args]
     indices = (params.alpha, params.beta, params.gamma)
@@ -668,7 +716,8 @@ def eval_prabhakar(
             else:
                 yield sign * math.exp(logmag)
 
-    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0, _first_live(delta, alpha))
+    return _sum_until_quiet(terms(), ctrl, 0.0 + 0.0j if complex_in else 0.0, _first_live(delta, alpha),
+                            _vanishing_shell(eta))
 
 
 def eval_fox_wright_1psi1(

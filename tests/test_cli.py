@@ -104,6 +104,17 @@ class TestEval:
         assert code == 3 and "not converged" in err
         assert out.startswith("alpha")  # the partial row is still reported
 
+    def test_series_ending_at_the_budget_exit_0(self, capsys):
+        # (-2)_q vanishes from q = 3 on: shells 0-2, all within the budget, are the whole series
+        code, out, _ = run_cli(
+            capsys, "eval", "--alpha", "1", "--beta", "1", "--gamma", "1",
+            "--delta", "1", "--eta", "-2", "--u", "0.5", "--v", "0.3", "--w", "0.2",
+            "--max-shell", "2",
+        )
+        header, [row] = parse_csv(out)
+        row = dict(zip(header, row))
+        assert code == 0 and float(row["value_re"]) == -0.5 and float(row["abs_err"]) == 0.0
+
 
 class TestEvalUnivariate:
     def test_single_point(self, capsys):

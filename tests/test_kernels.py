@@ -182,6 +182,18 @@ class TestPochhammer:
             s, lg = log_pochhammer_table(eta, n)
             assert s.tobytes() == signs[: n + 1].tobytes() and lg.tobytes() == logs[: n + 1].tobytes()
 
+    @pytest.mark.parametrize("eta", [1e-300, 0.7, 1.0, 1.3, 5.1, 1e6])
+    def test_positive_table_has_the_general_bits(self, eta):
+        # the general formula, which the eta > 0 path skips: signs from a
+        # cumulative product, logs of |eta + j| under an error scope
+        factors = eta + np.arange(700, dtype=float)
+        with np.errstate(divide="ignore"):
+            logs = np.concatenate(([0.0], np.cumsum(np.log(np.abs(factors)))))
+        signs = np.concatenate(([1.0], np.cumprod(np.sign(factors))))
+        for n in (0, 1, 16, 96, 700):
+            s, lg = log_pochhammer_table(eta, n)
+            assert s.tobytes() == signs[: n + 1].tobytes() and lg.tobytes() == logs[: n + 1].tobytes()
+
     def test_terminating_table(self):
         # (-2)_0 = 1, (-2)_1 = -2, (-2)_2 = 2, (-2)_q = 0 from q = 3 on
         signs, _ = log_pochhammer_table(-2.0, 10)

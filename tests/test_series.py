@@ -230,6 +230,28 @@ class TestLeadingPoleShells:
         assert res.converged and res.value == 0.0
 
 
+class TestEndingAtTheBudget:
+    # (-2)_q vanishes from q = 3 on, so shells 0-2 hold the whole series: at
+    # max_shell = 2 its last nonzero shell is the last one the budget allows
+    @pytest.mark.parametrize("max_shell", [2, 3, 700])
+    def test_trivariate(self, max_shell):
+        # 1 - 2 s + s^2 / 2 at s = u + v + w = 1
+        res = eval_trivariate(MLParams(1, 1, 1, 1, -2), 0.5, 0.3, 0.2, SeriesControl(max_shell=max_shell))
+        assert (res.value, res.abs_error_estimate, res.shells_used, res.converged) == (-0.5, 0.0, 4, True)
+
+    @pytest.mark.parametrize("max_shell", [2, 3, 700])
+    def test_prabhakar(self, max_shell):
+        # 1 - 2 s + s^2 / 2 at s = 0.5
+        res = eval_prabhakar(1.0, 1.0, -2.0, 0.5, SeriesControl(max_shell=max_shell))
+        assert res.converged and res.abs_error_estimate == 0.0 and res.shells_used == 4
+        assert res.value == pytest.approx(0.125, rel=1e-14)
+
+    def test_a_shell_past_the_budget_is_not_summed(self):
+        ctrl = SeriesControl(max_shell=1)
+        assert not eval_trivariate(MLParams(1, 1, 1, 1, -2), 0.5, 0.3, 0.2, ctrl).converged
+        assert not eval_prabhakar(1.0, 1.0, -2.0, 0.5, ctrl).converged
+
+
 class TestUnivariate:
     def test_delta_one_zero_lambdas(self):
         res = eval_univariate(MLParams(0.8, 0.6, 0.4, 1.0, 1.0), LambdaTriple(0, 0, 0), 0.7)
@@ -733,29 +755,31 @@ class TestIndexBlocks:
         owned = 0
         for (q0, zero_dirs, size), block in cached.items():
             assert q0 < series._TABLE_MAX_Q and (size == 1 or units[q0, zero_dirs] == q0 + size)
-            l, p, k, *gathers, sizes, parts = block
-            assert len(parts) == size and all(a.size == sizes.sum() for a in (l, p, k, *gathers))
-            assert not any(a.flags.writeable for a in (l, p, k, *gathers, sizes))
-            owned += sum(a.nbytes for a in (l, p, k, *gathers))
+            indices, logfact, sizes, parts = block
+            assert indices.shape == (3 - len(zero_dirs), sizes.sum()) and logfact.shape == (sizes.sum(),)
+            assert len(parts) == size
+            assert not any(a.flags.writeable for a in (indices, logfact, sizes))
+            owned += indices.nbytes + logfact.nbytes
             # the entry is what its key alone builds: no parameter went into it
             monkeypatch.setattr(series, "_index_blocks", {})
             assert self._bytes(series._index_block(q0, zero_dirs, size)) == self._bytes(block)
         # each list of units covers a shell below the cached range at most once
-        # per pattern, at 32 B per term
+        # per pattern, at most 32 B per term
         terms = sum(series._terms_below(series._TABLE_MAX_Q, 3 - len(zd)) for zd in {zd for _, zd in units})
         assert 0 < owned <= 2 * 32 * terms
 
     def test_cache_holds_at_most_the_stated_size(self, monkeypatch):
-        # every default unit of all eight zero-slot patterns: 32 B per term of
-        # the cached range, 5.3 MB in all
+        # every default unit of all eight zero-slot patterns: 8 B per term of
+        # the cached range for each live direction and 8 B for the log
+        # factorials, 32 B with three live directions, 5.2 MB in all
         monkeypatch.setattr(series, "_index_blocks", {})
         patterns = [tuple(d for d in range(3) if mask >> d & 1) for mask in range(8)]
         for zero_dirs in patterns:
             for q0, end in series._unit_ends(3 - len(zero_dirs)).items():
                 series._index_block(q0, zero_dirs, end - q0)
         owned = sum(a.nbytes for *arrays, _, _ in series._index_blocks.values() for a in arrays)
-        terms = sum(series._terms_below(series._TABLE_MAX_Q, 3 - len(zero_dirs)) for zero_dirs in patterns)
-        assert owned == 32 * terms <= 5.33e6
+        want = sum(8 * (4 - len(zd)) * series._terms_below(series._TABLE_MAX_Q, 3 - len(zd)) for zd in patterns)
+        assert owned == want <= 5.21e6
 
     def test_blocks_past_the_cached_range_are_not_kept(self, monkeypatch):
         monkeypatch.setattr(series, "_index_blocks", {})
@@ -768,8 +792,12 @@ class TestIndexBlocks:
         # a range inside a unit, whole units, a range across units and one past the cached range
         for (q0, size), zero_dirs in itertools.product([(8, 8), (0, 20), (20, 6), (94, 4), (96, 3)],
                                                        [(), (1,), (0, 2), (0, 1, 2)]):
-            l, p, k, logfact, sizes, parts = series._index_block(q0, zero_dirs, size)
-            assert all(a.dtype == np.float64 for a in (l, p, k, logfact))
+            indices, logfact, sizes, parts = series._index_block(q0, zero_dirs, size)
+            assert all(a.dtype == np.float64 for a in (indices, logfact)) and indices.flags.c_contiguous
+            # one row per live direction; a pruned direction's indices are 0
+            rows = iter(indices)
+            l, p, k = (np.zeros(logfact.size) if d in zero_dirs else next(rows) for d in range(3))
+            assert indices.shape == (3 - len(zero_dirs), logfact.size)
             for q, part in zip(range(q0, q0 + size), parts):
                 want = [
                     (a, b, q - a - b)
@@ -836,8 +864,8 @@ def _fixed_units(m, size):
 
 
 def _shell_bytes(walk):
-    # each shell's arrays (l, p, k, logmag and, unless every term is positive, sign)
-    shells = [None if part is None else tuple(a[part] for a in arrays) for arrays, parts in walk for part in parts]
+    # each shell's arrays (index matrix, logmag and, unless every term is positive, sign), cut along the terms
+    shells = [None if part is None else tuple(a[..., part] for a in arrays) for arrays, parts in walk for part in parts]
     return [None if sh is None else tuple((a.dtype.str, a.tobytes()) for a in sh) for sh in shells]
 
 
@@ -947,11 +975,27 @@ class TestBlockBuild:
         slots = tuple(series._arg_parts(z) for z in args)
         for _ in range(3):  # cold, storing, then read from the table
             units = list(series._walk(p, slots, series._unit_ends(3)[0] + 5))
-            assert {len(arrays) for arrays, parts in units if parts != (None,)} == {5 if signed else 4}
+            assert {len(arrays) for arrays, parts in units if parts != (None,)} == {3 if signed else 2}
         pars = (0.9, 1.3, 0.5, delta, eta)
         scale = brute_trivariate(*pars, *args, absolute=True)
         got = eval_trivariate(p, *args, CTRL).value
         assert abs(got - brute_trivariate(*pars, *args)) <= 64 * np.finfo(float).eps * scale
+
+    @pytest.mark.parametrize("args", [(0.7, -0.4, 1.1), (2.3, 0.0, 0.45), (0.3 + 0.4j, -1.9, 0.5 - 0.3j)])
+    def test_contraction_reads_no_position(self, args):
+        # the exponents of a whole unit and of each of its shells alone have
+        # the same bits; a BLAS product (@, np.dot, einsum with optimize=True)
+        # fails this, as it rounds its vector remainder unlike its body
+        p = MLParams(0.9, 1.3, 0.5, -0.7, 1.4)
+        slots = tuple(series._arg_parts(z) for z in args)
+        log_z = np.array([slot[1] for slot in slots if not slot[0]])
+        units = list(series._walk(p, slots, series._TABLE_MAX_Q + 3))
+        assert len(units) > 3
+        for arrays, parts in units:
+            whole = series._shell_terms(arrays, log_z, [])
+            for part in parts:
+                alone = series._shell_terms(tuple(a[..., part] for a in arrays), log_z, [])
+                assert alone.tobytes() == whole[part].tobytes()
 
     @pytest.mark.parametrize("s", [0.0, 0.8, -2.5, 30.0, 1.5 - 2.0j, 720.0])
     def test_single_index_engines(self, monkeypatch, s):
